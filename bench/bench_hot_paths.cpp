@@ -5,7 +5,7 @@
 //     forced-scalar vs dispatched-SIMD at million-transaction scale.
 //   - Transaction building: sliding-window negative sampler vs the
 //     per-stride rescan reference.
-//   - Serving: the allocation-lean Predictor (observe_into/observe_batch)
+//   - Serving: the allocation-lean Predictor (span observe)
 //     vs the hash-map reference predictor, at paper scale and on a
 //     ten-million-event tiled stream (--scale).
 //   - Raw kernels (--scale): and_popcount / subset_count per compiled
@@ -193,7 +193,7 @@ bool run_machine(const Workload& workload, bool quick, double target,
     std::vector<predict::Warning> optimized_stream;
     {
       predict::Predictor predictor(repository, window, options);
-      predictor.observe_batch(serving, optimized_stream);
+      predictor.observe(serving, optimized_stream);
     }
     std::vector<predict::Warning> reference_stream;
     {
@@ -232,7 +232,7 @@ bool run_machine(const Workload& workload, bool quick, double target,
             [&] {
               predict::Predictor predictor(repository, window, options);
               std::vector<predict::Warning> out;
-              predictor.observe_batch(serving, out);
+              predictor.observe(serving, out);
               if (out.size() != optimized_stream.size()) std::abort();
             },
             target, max_reps));
@@ -395,7 +395,7 @@ bool run_correlation_stages(bool quick, double target, int max_reps,
   std::vector<predict::Warning> optimized_stream;
   {
     predict::Predictor predictor(repository, 300);
-    predictor.observe_batch(serving, optimized_stream);
+    predictor.observe(serving, optimized_stream);
   }
   std::vector<predict::Warning> reference_stream;
   {
@@ -433,7 +433,7 @@ bool run_correlation_stages(bool quick, double target, int max_reps,
           [&] {
             predict::Predictor predictor(repository, 300);
             std::vector<predict::Warning> out;
-            predictor.observe_batch(serving, out);
+            predictor.observe(serving, out);
             if (out.size() != optimized_stream.size()) std::abort();
           },
           target, max_reps));
@@ -637,12 +637,12 @@ bool run_scale_stages(bool quick, double target, int max_reps,
   std::vector<predict::Warning> optimized_stream;
   {
     predict::Predictor predictor(repository, window, options);
-    predictor.observe_batch(corpus.serving, optimized_stream);
+    predictor.observe(corpus.serving, optimized_stream);
   }
   {
     // Reference equivalence on the first tile only: the reference
     // predictor is the per-event semantics anchor, and tiles beyond the
-    // first replay the same events (observe_batch-vs-serial identity at
+    // first replay the same events (span-vs-reference identity at
     // full depth is covered by tests/online/test_batch_equivalence.cpp).
     std::vector<predict::Warning> reference_stream;
     reference::ReferencePredictor predictor(repository, window, options);
@@ -655,7 +655,7 @@ bool run_scale_stages(bool quick, double target, int max_reps,
     }
     std::vector<predict::Warning> optimized_first;
     predict::Predictor optimized(repository, window, options);
-    optimized.observe_batch(first_tile, optimized_first);
+    optimized.observe(first_tile, optimized_first);
     if (!same_warnings(optimized_first, reference_stream)) {
       std::fprintf(stderr, "FAIL: scale serving diverges from reference\n");
       return false;
@@ -685,10 +685,10 @@ bool run_scale_stages(bool quick, double target, int max_reps,
       bench::min_of_reps(
           [&, out = std::vector<predict::Warning>()]() mutable {
             // One reused buffer across reps — the documented serving
-            // pattern (observe_into appends; callers own the buffer).
+            // pattern (observe appends; callers own the buffer).
             out.clear();
             predict::Predictor predictor(repository, window, options);
-            predictor.observe_batch(corpus.serving, out);
+            predictor.observe(corpus.serving, out);
             if (out.size() != optimized_stream.size()) std::abort();
           },
           target, max_reps));

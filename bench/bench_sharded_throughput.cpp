@@ -64,7 +64,7 @@ LatencyReport measure_consume_latency(const std::vector<bgl::Event>& events,
   double total = 0.0;
   for (const auto& event : events) {
     const auto start = Clock::now();
-    engine.consume(event);
+    engine.consume_batch({&event, 1});
     const double us =
         std::chrono::duration<double, std::micro>(Clock::now() - start)
             .count();
@@ -99,7 +99,7 @@ ShardedRun run_sharded(const logio::EventStore& store,
   const auto start = Clock::now();
   online::ShardedEngine engine(
       config, [&](const predict::Warning& w) { warnings.push_back(w); });
-  for (const auto& event : events) engine.consume(event);
+  for (const auto& event : events) engine.consume_batch({&event, 1});
   run.stats = engine.finish();
   run.wall_seconds =
       std::chrono::duration<double>(Clock::now() - start).count();

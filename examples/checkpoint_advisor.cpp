@@ -116,17 +116,22 @@ CheckpointOutcome prediction_driven(const logio::EventStore& store,
     }
   };
 
+  std::vector<predict::Warning> warnings;
   for (const auto& event : store.between(begin, store.last_time() + 1)) {
     maybe_retrain(event.time);
     while (next_tick < event.time) {
-      handle_warnings(predictor->tick(next_tick), next_tick);
+      warnings.clear();
+      predictor->tick_into(next_tick, warnings);
+      handle_warnings(warnings, next_tick);
       next_tick += window;
     }
     while (next_safety <= event.time) {
       take_checkpoint(next_safety);
       next_safety += safety_net;
     }
-    handle_warnings(predictor->observe(event), event.time);
+    warnings.clear();
+    predictor->observe({&event, 1}, warnings);
+    handle_warnings(warnings, event.time);
     if (event.fatal) {
       outcome.lost_seconds +=
           static_cast<double>(event.time - last_checkpoint);

@@ -1,6 +1,8 @@
 #include "common/string_util.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 
 namespace dml {
 
@@ -70,6 +72,24 @@ std::string replace_all(std::string_view text, std::string_view from,
     out.append(to);
     start = pos + from.size();
   }
+}
+
+std::optional<long> parse_long(std::string_view text) {
+  long value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return value;
+}
+
+std::optional<double> parse_double(std::string_view text) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(value)) {
+    return std::nullopt;
+  }
+  return value;
 }
 
 }  // namespace dml

@@ -652,9 +652,7 @@ void Daemon::pump_main(std::shared_ptr<Stream> stream) {
       // One engine crossing per wire batch: the sharded producer hands
       // each shard its whole run in one queue push.
       stream->engine->consume_batch(batch.events);
-      for (const bgl::RasRecord& record : batch.records) {
-        stream->engine->consume(record);
-      }
+      stream->engine->consume(batch.records);
     }
   } catch (const std::exception& e) {
     error = e.what();

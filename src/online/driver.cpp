@@ -58,9 +58,9 @@ ShardedEngineConfig sharded_config_from_driver(const DriverConfig& config,
   // The sharded engine forces its own tick anchoring and per-scope
   // predictor options; async retraining on the shared pool is the point
   // of the concurrent front-end.
-  sharded.engine.adaptive_window = false;
   sharded.engine.async_retrain = true;
   sharded.engine.profile = profile;
+  require_shardable(sharded.engine);
   return sharded;
 }
 
@@ -115,14 +115,9 @@ DriverResult DynamicDriver::run(const storage::EventRepository& repo) const {
 
   // Streamed feed of [from, to) — the archive is never materialised
   // outside the bounded test spans below.
-  std::vector<bgl::Event> batch;
   const auto feed = [&](TimeSec from, TimeSec to) {
-    auto cursor = repo.scan(from, to);
-    while (true) {
-      batch.clear();
-      if (cursor->next(batch, storage::kDefaultScanBatch) == 0) break;
-      engine.consume_batch(batch);
-    }
+    storage::for_each_batch(repo, from, to,
+                            [&](auto batch) { engine.consume_batch(batch); });
   };
 
   // Resume: cold-start the engine at the first interval boundary at or

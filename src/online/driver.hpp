@@ -128,7 +128,9 @@ struct DriverResult {
 /// by construction.  Serving semantics: async retraining on the shared
 /// pool, shard failures quarantine instead of rethrowing, and the first
 /// training fires after the full training span regardless of event
-/// count (min_training_events = 1, matching the batch driver).
+/// count (min_training_events = 1, matching the batch driver).  A
+/// config the sharded path cannot run throws std::invalid_argument
+/// naming the key (online::require_shardable).
 struct ShardedEngineConfig;  // online/sharded_engine.hpp
 ShardedEngineConfig sharded_config_from_driver(const DriverConfig& config,
                                                std::size_t shards,

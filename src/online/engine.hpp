@@ -11,11 +11,15 @@
 //   });
 //   while (auto record = reader.next()) engine.consume(*record);
 //
+// A single record or event is a span of one: every entry point feeds the
+// same per-event path.
+//
 // DynamicDriver::run() replays a whole log through this same object, so
 // the train/predict/retrain loop exists exactly once.
 #pragma once
 
 #include <functional>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -54,41 +58,13 @@ struct DegradationEvent {
 
 std::string_view to_string(DegradationEvent::Kind kind);
 
-struct OnlineEngineConfig {
-  /// Wp: prediction window == rule-generation window.
-  DurationSec prediction_window = 300;
+/// The engine config: the retraining policy (prediction window, cadence,
+/// training regime, learners — see RetrainPolicy) plus the serving side.
+struct OnlineEngineConfig : RetrainPolicy {
   /// Filtering threshold for inline preprocessing of raw records.
   DurationSec filter_threshold = 300;
-  /// Retraining cadence (event time).
-  DurationSec retrain_interval = 4 * kSecondsPerWeek;
-  /// Event time before the first training; 0 = retrain_interval.
-  DurationSec initial_training_delay = 0;
-  /// Sliding training-set length (kSlidingWindow); history beyond it is
-  /// discarded (bounded memory).
-  DurationSec training_span = 26 * kSecondsPerWeek;
-  /// Events required before the first training (avoid learning from a
-  /// nearly empty history).
-  std::size_t min_training_events = 200;
-  /// Training-set regime at each boundary (Figure 9).
-  TrainingMode mode = TrainingMode::kSlidingWindow;
-  bool use_reviser = true;
-  predict::ReviserConfig reviser;
-  meta::MetaLearnerConfig learner;
-  predict::PredictorOptions predictor;
   /// PD self-check cadence; 0 disables ticks.
   DurationSec clock_tick = 300;
-  /// Adaptive prediction-window selection (§7 future work).
-  bool adaptive_window = false;
-  std::vector<DurationSec> window_candidates = {60, 300, 900, 1800};
-  double validation_fraction = 0.25;
-  /// Build rule sets on ThreadPool::shared(): consume() keeps serving
-  /// the old snapshot while the new one is mined, and the swap is one
-  /// atomic publish.  Off = deterministic inline training at the
-  /// boundary (replay / test mode).
-  bool async_retrain = false;
-  /// Event-time lag from boundary to adoption in async mode; see
-  /// RetrainPolicy::adoption_lag.
-  DurationSec adoption_lag = 0;
   /// Tick on the absolute grid first-adoption + k * clock_tick instead
   /// of re-anchoring per adoption; see ServingCore::TickAnchor.
   bool absolute_ticks = false;
@@ -96,6 +72,9 @@ struct OnlineEngineConfig {
   /// default: the per-event clock reads are cheap but not free.
   bool profile = false;
 };
+
+/// The serving half of the engine config (ServingCore's options).
+ServingCore::Options serving_options(const OnlineEngineConfig& config);
 
 class OnlineEngine {
  public:
@@ -106,34 +85,30 @@ class OnlineEngine {
   /// Joins any in-flight retraining.
   ~OnlineEngine();
 
-  /// Feeds one raw record (preprocessed inline: categorize + temporal +
-  /// spatial compression).  Records must arrive in time order.
-  void consume(const bgl::RasRecord& record);
+  /// Feeds a time-ordered run of raw records, preprocessed inline
+  /// (categorize + temporal + spatial compression).  A throw mid-span
+  /// (a `preprocess.push` or serving failpoint) leaves exactly the
+  /// records before the faulting one consumed.
+  void consume(std::span<const bgl::RasRecord> records);
+  void consume(const bgl::RasRecord& record) { consume({&record, 1}); }
 
-  /// Feeds one already-unique categorized event.
-  void consume(const bgl::Event& event);
-
-  /// Feeds a time-ordered run of categorized events.  Bit-identical to
-  /// consuming them one by one — retraining boundaries, adoptions and
-  /// ticks still fire between any two events of the batch, and a
-  /// serving failpoint thrown mid-batch leaves exactly the prefix
-  /// consumed (DESIGN.md §13).  Replay loops use this to cross the
-  /// engine boundary once per buffer instead of once per event.
+  /// Feeds a time-ordered run of already-unique categorized events (a
+  /// single event is a span of one).  Retraining boundaries, adoptions
+  /// and ticks fire between any two events of the span, and a serving
+  /// failpoint thrown mid-span leaves exactly the prefix consumed
+  /// (DESIGN.md §13).
   void consume_batch(std::span<const bgl::Event> events);
 
   /// Restart path: brings a freshly constructed engine to the exact
   /// state a live engine would hold just before serving event time
-  /// `serve_from`, reading history straight from the repository.
-  ///
-  /// Events in [repo.first_time(), serve_from) are replayed through the
-  /// retraining schedule only — every boundary fires and every snapshot
-  /// is adopted just as live, but per-event serving is skipped, which is
-  /// sound because adoption/refresh rebuilds the predictor from scratch.
-  /// The serving tail since the last rebuild is then re-observed from
-  /// the scheduler's history (its warnings discarded), so predictor
-  /// window state, deduplication and tick grid all match a live engine.
+  /// `serve_from`, reading history straight from the repository.  The
+  /// events in [repo.first_time(), serve_from) are replayed through the
+  /// live path — every boundary fires, every snapshot is adopted, every
+  /// event is served — and boundaries strictly before serve_from are
+  /// run; warnings issued before serve_from are suppressed, for good.
   /// Warnings emitted from serve_from on are byte-identical to an
-  /// uninterrupted replay.
+  /// uninterrupted replay, and the session's accounting starts at zero
+  /// (the replay counts only as SessionStats::cold_start_events).
   ///
   /// Must be called on a fresh engine (nothing consumed) with
   /// synchronous retraining; categorized-event repositories only.
@@ -201,8 +176,8 @@ class OnlineEngine {
     /// observation).  Only measured when OnlineEngineConfig::profile is
     /// set; 0 otherwise.
     double serving_seconds = 0.0;
-    /// Events replayed without serving by cold_start() before the
-    /// session began (not counted in records_consumed).
+    /// Events replayed by cold_start() before the session began (not
+    /// counted in records_consumed).
     std::uint64_t cold_start_events = 0;
     /// Log-I/O accounting of the backing EventRepository, filled by
     /// owners that replay from one (DynamicDriver::run, `dmlfp run
@@ -218,13 +193,12 @@ class OnlineEngine {
   /// Degradation incidents so far (abandoned retrain boundaries).
   std::vector<DegradationEvent> degradation_log() const;
 
-  TimeSec now() const { return now_; }
-
  private:
+  /// The control plane at event time t (RetrainScheduler::step, then
+  /// the refresh/adoption it asks for), then the ticks due before t.
   void step(TimeSec t);
   void observe(const bgl::Event& event);
   void adopt(SnapshotBuild build);
-  std::vector<bgl::Event> warm_tail(TimeSec at, DurationSec window) const;
   void emit();
 
   OnlineEngineConfig config_;
@@ -237,6 +211,8 @@ class OnlineEngine {
   std::vector<predict::Warning> scratch_;
 
   TimeSec now_ = 0;
+  /// Warnings issued before this instant are never emitted (cold_start).
+  TimeSec suppress_before_ = std::numeric_limits<TimeSec>::min();
   SessionStats session_;
 };
 

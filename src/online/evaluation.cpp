@@ -47,9 +47,8 @@ VennCounts venn_over_range(const logio::EventStore& store, TimeSec begin,
 
   auto coverage = [&](const meta::KnowledgeRepository& repository) {
     predict::Predictor predictor(repository, window);
-    for (const auto& event : store.between(begin - window, begin)) {
-      predictor.observe(event);
-    }
+    std::vector<predict::Warning> warm_up;  // discarded
+    predictor.observe(store.between(begin - window, begin), warm_up);
     const auto warnings = predictor.run(test_events, /*tick_interval=*/window);
     const auto evaluation =
         predict::evaluate_predictions(test_events, warnings, window);

@@ -119,10 +119,10 @@ void write_markdown_report(std::ostream& out, const DriverConfig& config,
                       window, config.reviser);
     }
     predict::Predictor predictor(repository, window, config.predictor);
-    for (const auto& event :
-         store.between(interval.test_begin - window, interval.test_begin)) {
-      predictor.observe(event);
-    }
+    std::vector<predict::Warning> warm_up;  // discarded
+    predictor.observe(
+        store.between(interval.test_begin - window, interval.test_begin),
+        warm_up);
     auto issued = predictor.run(
         store.between(interval.test_begin, interval.test_end), window);
     warnings.insert(warnings.end(), issued.begin(), issued.end());

@@ -140,6 +140,17 @@ std::optional<TimeSec> RetrainScheduler::boundary_due(TimeSec t) {
   return boundary;
 }
 
+RetrainScheduler::ControlStep RetrainScheduler::step(TimeSec t) {
+  ControlStep control;
+  if (const auto boundary = boundary_due(t)) {
+    if (fire(*boundary) == BoundaryAction::kRefresh) {
+      control.refresh_at = *boundary;
+    }
+  }
+  control.adopt = poll(t);
+  return control;
+}
+
 RetrainScheduler::BoundaryAction RetrainScheduler::fire(TimeSec boundary) {
   if (policy_.mode == TrainingMode::kStatic && trained_once_) {
     return BoundaryAction::kRefresh;
@@ -163,7 +174,7 @@ RetrainScheduler::BoundaryAction RetrainScheduler::fire(TimeSec boundary) {
   trained_once_ = true;
   std::vector<bgl::Event> training(history_.begin(), history_.end());
   meta::RepositorySnapshot previous = latest_;
-  if (policy_.async) {
+  if (policy_.async_retrain) {
     pending_scheduled_ = boundary;
     pending_ = ThreadPool::shared().submit(
         [this, training = std::move(training), boundary,
@@ -246,7 +257,7 @@ SnapshotBuild RetrainScheduler::run_build(
   // An asynchronous build already runs on the shared pool; fanning the
   // base learners out to the same pool again would have pool tasks
   // blocking on pool tasks.
-  if (policy_.async) learner_config.parallel_training = false;
+  if (policy_.async_retrain) learner_config.parallel_training = false;
   const meta::MetaLearner learner(learner_config);
 
   DurationSec window = window_;

@@ -37,9 +37,10 @@ enum class TrainingMode {
 
 std::string_view to_string(TrainingMode mode);
 
-/// Everything a retraining needs to know; a strict subset of the engine
-/// and driver configs.
+/// Everything a retraining needs to know; the retraining half of
+/// OnlineEngineConfig.
 struct RetrainPolicy {
+  /// Wp: prediction window == rule-generation window.
   DurationSec prediction_window = 300;
   /// Retraining cadence (event time).
   DurationSec retrain_interval = 4 * kSecondsPerWeek;
@@ -63,8 +64,11 @@ struct RetrainPolicy {
   bool adaptive_window = false;
   std::vector<DurationSec> window_candidates = {60, 300, 900, 1800};
   double validation_fraction = 0.25;
-  /// Build snapshots on ThreadPool::shared() instead of inline.
-  bool async = false;
+  /// Build rule sets on ThreadPool::shared(): serving keeps the old
+  /// snapshot while the new one is mined, and the swap is one atomic
+  /// publish.  Off = deterministic inline training at the boundary
+  /// (replay / test mode).
+  bool async_retrain = false;
   /// Event-time delay from a boundary B to the adoption of its build
   /// (async only).  > 0: the build is adopted exactly at B + lag —
   /// deterministic in event time (poll() joins the build if the stream
@@ -140,6 +144,21 @@ class RetrainScheduler {
     kRefresh,  ///< static mode after the first training: rules unchanged,
                ///< but the serving side should refresh its predictor
   };
+
+  /// What the serving side must do at one instant of the stream.
+  struct ControlStep {
+    /// Static-mode boundary: rebuild the predictor(s) on the same rules
+    /// at this instant.
+    std::optional<TimeSec> refresh_at;
+    /// A finished build to adopt now.
+    std::optional<SnapshotBuild> adopt;
+  };
+
+  /// The producer control plane, run once per event time t (and by
+  /// owners that advance the clock without an event): fires a due
+  /// boundary, then polls for a build to adopt.  Both engines drive
+  /// their schedule through this one call.
+  ControlStep step(TimeSec t);
 
   /// Advances the boundary schedule to event time t.  Returns the due
   /// boundary (the latest one <= t when several were skipped), or

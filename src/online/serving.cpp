@@ -10,66 +10,47 @@ ServingCore::ServingCore(Options options)
       snapshot_(meta::empty_snapshot()),
       window_(300) {}
 
-void ServingCore::rebuild_predictor(TimeSec at,
-                                    std::span<const bgl::Event> warm) {
-  predictor_ = std::make_unique<predict::Predictor>(*snapshot_, window_,
-                                                    options_.predictor);
-  // Warm the fresh predictor's window state on the trailing history so
-  // in-flight patterns survive the swap; warm-up warnings are discarded.
-  discard_.clear();
-  for (const auto& event : warm) {
-    if (event.time >= at - window_ && event.time < at) {
-      predictor_->observe_into(event, discard_);
-    }
-  }
-  discard_.clear();
-}
-
-void ServingCore::adopt(const SnapshotBuild& build,
-                        std::span<const bgl::Event> warm_override,
-                        std::vector<predict::Warning>& out) {
-  if (options_.tick_anchor == TickAnchor::kAbsolute) {
-    // Ticks due before the activation instant fire on the old rules; a
-    // tick exactly at it fires on the new ones.
-    advance(build.activate_at, out);
-  } else {
-    // Replay parity: adoption discards the pending grid; the first event
-    // served by the new predictor re-anchors it.
-    next_tick_.reset();
-  }
-  snapshot_ = build.repository;
-  window_ = build.window;
-  rebuild_predictor(build.activate_at, warm_override);
-  if (options_.tick_anchor == TickAnchor::kAbsolute && !next_tick_ &&
-      tick_interval() > 0) {
-    next_tick_ = build.activate_at + tick_interval();
-  }
-}
-
 void ServingCore::adopt(const SnapshotBuild& build,
                         std::vector<predict::Warning>& out) {
-  warm_scratch_.assign(warm_buffer_.begin(), warm_buffer_.end());
-  adopt(build, warm_scratch_, out);
-}
-
-void ServingCore::refresh(TimeSec at,
-                          std::span<const bgl::Event> warm_override,
-                          std::vector<predict::Warning>& out) {
-  if (options_.tick_anchor == TickAnchor::kAbsolute) {
-    advance(at, out);
-  } else {
-    next_tick_.reset();
-  }
-  rebuild_predictor(at, warm_override);
-  if (options_.tick_anchor == TickAnchor::kAbsolute && !next_tick_ &&
-      tick_interval() > 0) {
-    next_tick_ = at + tick_interval();
-  }
+  rebuild(build.activate_at, &build, out);
 }
 
 void ServingCore::refresh(TimeSec at, std::vector<predict::Warning>& out) {
-  warm_scratch_.assign(warm_buffer_.begin(), warm_buffer_.end());
-  refresh(at, warm_scratch_, out);
+  rebuild(at, nullptr, out);
+}
+
+void ServingCore::rebuild(TimeSec at, const SnapshotBuild* build,
+                          std::vector<predict::Warning>& out) {
+  const bool absolute = options_.tick_anchor == TickAnchor::kAbsolute;
+  if (absolute) {
+    // Ticks due before the rebuild instant fire on the old predictor; a
+    // tick exactly at it fires on the new one.
+    advance(at, out);
+  } else {
+    // Replay parity: a rebuild discards the pending grid; the first
+    // event served by the new predictor re-anchors it.
+    next_tick_.reset();
+  }
+  if (build != nullptr) {
+    snapshot_ = build->repository;
+    window_ = build->window;
+  }
+  predictor_ = std::make_unique<predict::Predictor>(*snapshot_, window_,
+                                                    options_.predictor);
+  // Warm the fresh predictor's window state on the trailing events so
+  // in-flight patterns survive the swap; warm-up warnings are discarded.
+  warm_scratch_.clear();
+  for (const bgl::Event& event : warm_buffer_) {
+    if (event.time >= at - window_ && event.time < at) {
+      warm_scratch_.push_back(event);
+    }
+  }
+  discard_.clear();
+  predictor_->observe(warm_scratch_, discard_);
+  discard_.clear();
+  if (absolute && !next_tick_ && tick_interval() > 0) {
+    next_tick_ = at + tick_interval();
+  }
 }
 
 void ServingCore::advance(TimeSec t, std::vector<predict::Warning>& out) {
@@ -79,52 +60,29 @@ void ServingCore::advance(TimeSec t, std::vector<predict::Warning>& out) {
   }
 }
 
-void ServingCore::observe(const bgl::Event& event,
-                          std::vector<predict::Warning>& out) {
-  // Fault injection: `serving.observe` supports throw (the owner's
-  // worker quarantines) and delay (a slow serving step); drop/corrupt
-  // are ignored here — counted drops live at the owner's feed level.
-  common::failpoint(common::failpoints::kServingObserve);
-  advance(event.time, out);
-  if (options_.tick_anchor == TickAnchor::kInterval && predictor_ &&
-      !next_tick_ && tick_interval() > 0) {
-    next_tick_ = event.time + tick_interval();
-  }
-  if (predictor_) {
-    predictor_->observe_into(event, out);
-  }
-  if (options_.warm_retention > 0) {
-    warm_buffer_.push_back(event);
-    while (!warm_buffer_.empty() &&
-           warm_buffer_.front().time < event.time - options_.warm_retention) {
-      warm_buffer_.pop_front();
-    }
-  }
-}
-
-void DML_HOT ServingCore::observe_batch(
-    std::span<const bgl::Event> events,
-                                std::vector<predict::Warning>& out) {
-  if (predictor_ == nullptr || options_.warm_retention > 0) {
-    // Cold core or warm-buffer upkeep in play: the per-event path
-    // already does the minimum work.
-    for (const bgl::Event& event : events) observe(event, out);
-    return;
-  }
+void DML_HOT ServingCore::observe(std::span<const bgl::Event> events,
+                                  std::vector<predict::Warning>& out) {
   const bool interval_anchor =
       options_.tick_anchor == TickAnchor::kInterval && tick_interval() > 0;
   for (const bgl::Event& event : events) {
+    // Fault injection: `serving.observe` supports throw (the owner's
+    // worker quarantines) and delay (a slow serving step); drop/corrupt
+    // are ignored here — counted drops live at the owner's feed level.
     common::failpoint(common::failpoints::kServingObserve);
     advance(event.time, out);
-    if (interval_anchor && !next_tick_) {
-      next_tick_ = event.time + tick_interval();
+    if (predictor_) {
+      if (interval_anchor && !next_tick_) {
+        next_tick_ = event.time + tick_interval();
+      }
+      predictor_->observe({&event, 1}, out);
     }
-    predictor_->observe_into(event, out);
+    DML_ALLOW_ALLOC("warm buffer: a deque of the trailing retention span, "
+                    "popped as it grows");
+    warm_buffer_.push_back(event);
+    while (warm_buffer_.front().time < event.time - options_.warm_retention) {
+      warm_buffer_.pop_front();
+    }
   }
-}
-
-void ServingCore::flush(TimeSec end, std::vector<predict::Warning>& out) {
-  advance(end, out);
 }
 
 }  // namespace dml::online

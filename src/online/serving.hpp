@@ -39,61 +39,49 @@ class ServingCore {
     /// Ticks fire every `window` of the adopted snapshot instead of
     /// clock_tick (the adaptive-window driver's replay semantics).
     bool tick_follows_window = false;
-    /// Trailing event-time span buffered internally for warming fresh
-    /// predictors at adoption.  0 = no internal buffer; the owner must
-    /// provide warm history via adopt()'s `warm` argument instead.
+    /// Trailing event-time span buffered for warming fresh predictors at
+    /// adoption: the largest window a build could adopt.
     DurationSec warm_retention = 0;
   };
 
   explicit ServingCore(Options options);
 
   /// Adopts a finished build at build.activate_at: publishes the
-  /// snapshot, rebuilds the predictor, warms its window state on `warm`
-  /// (events in [activate_at - window, activate_at), oldest first;
-  /// warm-up warnings are discarded) and re-anchors or preserves the
+  /// snapshot, rebuilds the predictor, warms its window state on the
+  /// buffered trailing events in [activate_at - window, activate_at)
+  /// (warm-up warnings are discarded) and re-anchors or preserves the
   /// tick grid per the anchoring discipline.  In kAbsolute mode, ticks
   /// still pending before the activation instant fire first (into
   /// `out`).
-  void adopt(const SnapshotBuild& build,
-             std::span<const bgl::Event> warm_override,
-             std::vector<predict::Warning>& out);
-  /// Same, warming from the internal warm_retention buffer.
   void adopt(const SnapshotBuild& build, std::vector<predict::Warning>& out);
 
   /// Static-mode boundary: same rules, fresh predictor (window state
   /// rebuilt, deduplication cleared, ticks re-anchored) — the batch
   /// driver's fresh-Predictor-per-interval semantics.
-  void refresh(TimeSec at, std::span<const bgl::Event> warm_override,
-               std::vector<predict::Warning>& out);
   void refresh(TimeSec at, std::vector<predict::Warning>& out);
 
-  /// Fires every tick due strictly before event time t.
+  /// Fires every tick due strictly before event time t.  At end of
+  /// stream (kAbsolute) this flushes every shard's grid to the same
+  /// global instant.
   void advance(TimeSec t, std::vector<predict::Warning>& out);
 
-  /// advance(event.time) + predictor observation + warm-buffer upkeep.
-  void observe(const bgl::Event& event, std::vector<predict::Warning>& out);
+  /// Serves a time-ordered run of events (a single event is a span of
+  /// one): per event, the `serving.observe` failpoint, advance(event
+  /// time), predictor observation and warm-buffer upkeep.  A throw
+  /// mid-span leaves the events before the faulting one fully served
+  /// (DESIGN.md §13).
+  void observe(std::span<const bgl::Event> events,
+               std::vector<predict::Warning>& out);
 
-  /// Batch form of observe(): bit-identical warning stream (the
-  /// `serving.observe` failpoint still fires once per event, so chaos
-  /// schedules line up), with the predictor/warm-buffer branches hoisted
-  /// out of the per-event loop.  A throw mid-batch leaves the events
-  /// before the faulting one fully served, exactly as the serial loop
-  /// would (DESIGN.md §13).
-  void observe_batch(std::span<const bgl::Event> events,
-                     std::vector<predict::Warning>& out);
-
-  /// End of stream (kAbsolute): fires the remaining ticks strictly
-  /// before `end`, so every shard's grid is flushed to the same global
-  /// instant.
-  void flush(TimeSec end, std::vector<predict::Warning>& out);
-
-  bool serving() const { return predictor_ != nullptr; }
   /// Snapshot currently in force (empty_snapshot before first adoption).
   const meta::RepositorySnapshot& snapshot() const { return snapshot_; }
   DurationSec window() const { return window_; }
 
  private:
-  void rebuild_predictor(TimeSec at, std::span<const bgl::Event> warm);
+  /// adopt()/refresh(): a fresh predictor at `at`, on `build`'s rules
+  /// when given, else on the rules in force.
+  void rebuild(TimeSec at, const SnapshotBuild* build,
+               std::vector<predict::Warning>& out);
   DurationSec tick_interval() const {
     return options_.tick_follows_window ? window_ : options_.clock_tick;
   }
@@ -103,11 +91,11 @@ class ServingCore {
   DurationSec window_;
   std::unique_ptr<predict::Predictor> predictor_;
   std::optional<TimeSec> next_tick_;
-  /// Scratch for adoption warm-up (events copied from the caller's span
-  /// or the internal buffer) and for its discarded warm-up warnings.
+  /// Scratch for adoption warm-up (events copied from the buffer) and
+  /// for its discarded warm-up warnings.
   std::vector<bgl::Event> warm_scratch_;
   std::vector<predict::Warning> discard_;
-  /// Internal trailing-event buffer (warm_retention > 0).
+  /// Trailing events within warm_retention of the latest.
   std::deque<bgl::Event> warm_buffer_;
 };
 

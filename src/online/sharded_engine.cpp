@@ -6,6 +6,7 @@
 #include <deque>
 #include <exception>
 #include <limits>
+#include <stdexcept>
 #include <thread>
 #include <tuple>
 #include <variant>
@@ -20,13 +21,9 @@ namespace dml::online {
 namespace {
 
 /// Messages flowing producer -> shard worker, in time order per shard.
-struct EventMsg {
-  bgl::Event event;
-};
-/// A time-ordered run of events for one shard — feed_batch()'s
-/// amortization: one queue handoff (one lock/notify) per run instead of
-/// per event.  Workers serve the run event by event, so failpoint and
-/// quarantine behaviour are indistinguishable from a run of EventMsg.
+/// Events travel as runs: one queue handoff (one lock/notify) per run of
+/// a shard's events between two control messages, served event by event
+/// so failpoints and quarantine fire at the exact event.
 struct EventBatchMsg {
   std::vector<bgl::Event> events;
 };
@@ -42,12 +39,13 @@ struct FlushMsg {
   /// to it (heartbeat / end of stream).
   TimeSec to = 0;
 };
-using Message =
-    std::variant<EventMsg, EventBatchMsg, AdoptMsg, RefreshMsg, FlushMsg>;
+using Message = std::variant<EventBatchMsg, AdoptMsg, RefreshMsg, FlushMsg>;
 
-/// Single-producer single-consumer bounded queue.  push() blocks when
-/// full — that is the backpressure contract: a slow shard throttles the
-/// producer instead of buffering without bound.
+/// Single-producer single-consumer bounded queue of messages.  push()
+/// blocks when full — that is the backpressure contract: a slow shard
+/// throttles the producer instead of buffering without bound.  The bound
+/// counts messages, and an EventBatchMsg carries a whole run, so the
+/// events queued per shard are at most capacity x run length.
 class BoundedQueue {
  public:
   explicit BoundedQueue(std::size_t capacity)
@@ -196,68 +194,43 @@ struct ShardedEngine::Shard {
   std::exception_ptr error;
 };
 
-namespace {
-
-RetrainPolicy sharded_policy(const OnlineEngineConfig& config) {
-  RetrainPolicy policy;
-  policy.prediction_window = config.prediction_window;
-  policy.retrain_interval = config.retrain_interval;
-  policy.initial_training_delay = config.initial_training_delay;
-  policy.training_span = config.training_span;
-  policy.min_training_events = config.min_training_events;
-  policy.mode = config.mode;
-  policy.use_reviser = config.use_reviser;
-  policy.reviser = config.reviser;
-  policy.learner = config.learner;
-  policy.predictor = config.predictor;
-  policy.adaptive_window = config.adaptive_window;
-  policy.window_candidates = config.window_candidates;
-  policy.validation_fraction = config.validation_fraction;
-  policy.async = config.async_retrain;
-  // Deterministic adoption: with no explicit lag, adopt one prediction
-  // window after the boundary — enough slack for a build to finish in
-  // the background at realistic event rates.
-  policy.adoption_lag = config.adoption_lag > 0 ? config.adoption_lag
-                                                : config.prediction_window;
-  // The tree/net experts build features over the whole machine's recent
-  // stream, which does not decompose by midplane; drop them so sharded
-  // and single-shard runs see the same rule space.
-  policy.learner.enable_decision_tree = false;
-  policy.learner.enable_neural_net = false;
-  policy.predictor.location_scoped = true;
-  policy.predictor.per_scope_state = true;
-  return policy;
+void require_shardable(const OnlineEngineConfig& config) {
+  const char* key = config.learner.enable_decision_tree ? "enable_decision_tree"
+                    : config.learner.enable_neural_net  ? "enable_neural_net"
+                    : config.adaptive_window            ? "adaptive_window"
+                                                        : nullptr;
+  if (key != nullptr) {
+    throw std::invalid_argument(std::string(key) +
+                                ": sharded serving cannot run this setting");
+  }
 }
 
-ServingCore::Options sharded_serving_options(const OnlineEngineConfig& config,
-                                             const RetrainPolicy& policy) {
-  ServingCore::Options options;
-  options.clock_tick = config.clock_tick;
-  options.predictor = policy.predictor;
-  // Absolute grid: every shard ticks at the same instants regardless of
-  // which events it happens to receive.
-  options.tick_anchor = ServingCore::TickAnchor::kAbsolute;
-  options.tick_follows_window = false;
-  // Each shard warms fresh predictors from its own trailing buffer; keep
-  // the largest window a build could adopt.
-  DurationSec retention = policy.prediction_window;
-  if (policy.adaptive_window) {
-    for (const auto candidate : policy.window_candidates) {
-      retention = std::max(retention, candidate);
-    }
-  }
-  options.warm_retention = retention;
-  return options;
+namespace {
+
+/// The engine config every shard runs: per-scope prediction (so the
+/// merged warning multiset is the same for any shard count), the
+/// absolute tick grid (every shard ticks at the same instants whichever
+/// events it receives) and, with no explicit lag, adoption one
+/// prediction window after the boundary — deterministic, and enough
+/// slack for a background build at realistic event rates.
+ShardedEngineConfig with_shard_semantics(ShardedEngineConfig config) {
+  OnlineEngineConfig& engine = config.engine;
+  require_shardable(engine);
+  engine.predictor.location_scoped = true;
+  engine.predictor.per_scope_state = true;
+  engine.absolute_ticks = true;
+  if (engine.adoption_lag <= 0) engine.adoption_lag = engine.prediction_window;
+  return config;
 }
 
 }  // namespace
 
 ShardedEngine::ShardedEngine(ShardedEngineConfig config,
                              WarningCallback on_warning)
-    : config_(std::move(config)),
+    : config_(with_shard_semantics(std::move(config))),
       on_warning_(std::move(on_warning)),
       pipeline_(config_.engine.filter_threshold),
-      scheduler_(sharded_policy(config_.engine)) {
+      scheduler_(config_.engine) {
   std::size_t n = config_.shards;
   if (n == 0) n = std::max(1u, std::thread::hardware_concurrency());
   merger_ = std::make_unique<WarningMerger>(
@@ -273,6 +246,7 @@ ShardedEngine::ShardedEngine(ShardedEngineConfig config,
   for (std::size_t i = 0; i < n; ++i) {
     shards_.push_back(std::make_unique<Shard>(config_.queue_capacity));
   }
+  run_buffers_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     shards_[i]->thread = std::thread([this, i] { worker(i); });
   }
@@ -291,9 +265,24 @@ std::size_t ShardedEngine::shard_of(const bgl::Event& event) const {
          shards_.size();
 }
 
-void ShardedEngine::consume(const bgl::RasRecord& record) {
-  ++records_consumed_;
-  if (auto event = pipeline_.push(record)) feed(*event);
+void ShardedEngine::consume(std::span<const bgl::RasRecord> records) {
+  feed_runs([&] {
+    for (const bgl::RasRecord& record : records) {
+      ++records_consumed_;
+      if (auto event = pipeline_.push(record)) route(*event);
+    }
+  });
+}
+
+void ShardedEngine::consume_batch(std::span<const bgl::Event> events) {
+  records_consumed_ += events.size();
+  route_all(events);
+}
+
+void ShardedEngine::route_all(std::span<const bgl::Event> events) {
+  feed_runs([&] {
+    for (const bgl::Event& event : events) route(event);
+  });
 }
 
 void ShardedEngine::cold_start(const storage::EventRepository& repo,
@@ -301,115 +290,35 @@ void ShardedEngine::cold_start(const storage::EventRepository& repo,
   DML_CHECK(records_consumed_ == 0 && !finished_);
   if (repo.empty() || serve_from <= repo.first_time()) return;
   suppress_until_.store(serve_from, std::memory_order_relaxed);
-  auto cursor = repo.scan(repo.first_time(), serve_from);
-  std::vector<bgl::Event> batch;
-  while (true) {
-    batch.clear();
-    if (cursor->next(batch, storage::kDefaultScanBatch) == 0) break;
-    cold_start_events_ += batch.size();
-    feed_batch(batch);
-  }
+  storage::for_each_batch(repo, repo.first_time(), serve_from,
+                          [&](std::span<const bgl::Event> batch) {
+                            cold_start_events_ += batch.size();
+                            route_all(batch);
+                          });
 }
 
-void ShardedEngine::consume(const bgl::Event& event) {
-  ++records_consumed_;
-  feed(event);
-}
-
-void ShardedEngine::consume_batch(std::span<const bgl::Event> events) {
-  records_consumed_ += events.size();
-  feed_batch(events);
-}
-
-void ShardedEngine::flush_feed_runs() {
-  for (std::size_t i = 0; i < feed_runs_.size(); ++i) {
-    if (feed_runs_[i].empty()) continue;
-    shards_[i]->queue.push(EventBatchMsg{std::move(feed_runs_[i])});
-    feed_runs_[i].clear();  // moved-from: valid and empty
-  }
-}
-
-void DML_HOT ShardedEngine::feed_batch(std::span<const bgl::Event> events) {
-  if (feed_runs_.size() != shards_.size()) {
-    DML_ALLOW_ALLOC("one-time growth to the shard count; no-op at steady "
-                    "state");
-    feed_runs_.resize(shards_.size());
-  }
+template <class Body>
+void ShardedEngine::feed_runs(const Body& body) {
   try {
-    for (const bgl::Event& event : events) {
-      // Same per-event sequence as feed(): the `engine.feed` failpoint
-      // fires once per event, and schedule decisions happen at the same
-      // stream positions.  Only the final queue handoff is batched.
-      switch (common::failpoint(common::failpoints::kEngineFeed)) {
-        case common::FailAction::kDrop:
-        case common::FailAction::kCorrupt:
-          ++feed_rejected_;
-          continue;
-        default:
-          break;
-      }
-      const TimeSec t = event.time;
-      if (const auto boundary = scheduler_.boundary_due(t)) {
-        const auto action = scheduler_.fire(*boundary);
-        if (action == RetrainScheduler::BoundaryAction::kRefresh) {
-          // Control messages follow the events that preceded them in
-          // every shard's queue, exactly as the serial path orders them.
-          flush_feed_runs();
-          for (auto& shard : shards_) {
-            DML_ALLOW_ALLOC("control-plane handoff at a retrain boundary "
-                            "(rare; bounded by the schedule cadence)");
-            shard->queue.push(RefreshMsg{*boundary});
-          }
-        }
-      }
-      if (auto build = scheduler_.poll(t)) {
-        DML_ALLOW_ALLOC("snapshot adoption: one shared_ptr per completed "
-                        "retrain build, never per event");
-        auto shared = std::make_shared<const SnapshotBuild>(std::move(*build));
-        retrain_build_seconds_ +=
-            shared->train_times.total_seconds() + shared->revise_seconds;
-        retrain_train_times_ += shared->train_times;
-        retrain_revise_seconds_ += shared->revise_seconds;
-        publisher_.store(shared->repository);
-        flush_feed_runs();
-        DML_ALLOW_ALLOC("control-plane handoff at snapshot adoption (rare)");
-        for (auto& shard : shards_) shard->queue.push(AdoptMsg{shared});
-      }
-      if (config_.heartbeat_interval > 0 &&
-          (!next_heartbeat_ || *next_heartbeat_ <= t)) {
-        flush_feed_runs();
-        broadcast_heartbeats(t);
-      }
-      scheduler_.observe(event);
-      last_event_time_ = std::max(last_event_time_, t);
-      DML_ALLOW_ALLOC("run buffers retain capacity across batches; the "
-                      "append is amortized O(1) with no steady-state growth");
-      feed_runs_[shard_of(event)].push_back(event);
-    }
+    body();
   } catch (...) {
-    // A throw (engine.feed failpoint) must leave the prefix fed, as the
-    // serial path would: hand over what is buffered, then propagate.
-    flush_feed_runs();
+    // A throw (preprocess.push or engine.feed failpoint) must leave the
+    // prefix fed: hand over what is buffered, then propagate.
+    flush_runs();
     throw;
   }
-  flush_feed_runs();
+  flush_runs();
 }
 
-void ShardedEngine::broadcast_heartbeats(TimeSec t) {
-  if (config_.heartbeat_interval <= 0) return;
-  if (!next_heartbeat_) {
-    next_heartbeat_ = t + config_.heartbeat_interval;
-    return;
-  }
-  while (*next_heartbeat_ <= t) {
-    for (auto& shard : shards_) {
-      shard->queue.push(FlushMsg{*next_heartbeat_});
-    }
-    *next_heartbeat_ += config_.heartbeat_interval;
+void ShardedEngine::flush_runs() {
+  for (std::size_t i = 0; i < run_buffers_.size(); ++i) {
+    if (run_buffers_[i].empty()) continue;
+    shards_[i]->queue.push(EventBatchMsg{std::move(run_buffers_[i])});
+    run_buffers_[i].clear();  // moved-from: valid and empty
   }
 }
 
-void ShardedEngine::feed(const bgl::Event& event) {
+void DML_HOT ShardedEngine::route(const bgl::Event& event) {
   // Fault injection: `engine.feed` drop/corrupt discards the event
   // before it reaches the scheduler or any shard (a counted skip);
   // throw propagates to the producer, delay stalls it.
@@ -423,26 +332,54 @@ void ShardedEngine::feed(const bgl::Event& event) {
   }
   const TimeSec t = event.time;
   // Boundary/adoption decisions happen on the producer so every shard
-  // sees them at the same position in its event sequence.
-  if (const auto boundary = scheduler_.boundary_due(t)) {
-    const auto action = scheduler_.fire(*boundary);
-    if (action == RetrainScheduler::BoundaryAction::kRefresh) {
-      for (auto& shard : shards_) shard->queue.push(RefreshMsg{*boundary});
+  // sees them at the same position in its event sequence: control
+  // messages follow the events that preceded them in every queue.
+  auto control = scheduler_.step(t);
+  if (control.refresh_at) {
+    flush_runs();
+    for (auto& shard : shards_) {
+      DML_ALLOW_ALLOC("control-plane handoff at a retrain boundary "
+                      "(rare; bounded by the schedule cadence)");
+      shard->queue.push(RefreshMsg{*control.refresh_at});
     }
   }
-  if (auto build = scheduler_.poll(t)) {
-    auto shared = std::make_shared<const SnapshotBuild>(std::move(*build));
+  if (control.adopt) {
+    DML_ALLOW_ALLOC("snapshot adoption: one shared_ptr per completed "
+                    "retrain build, never per event");
+    auto shared =
+        std::make_shared<const SnapshotBuild>(std::move(*control.adopt));
     retrain_build_seconds_ +=
         shared->train_times.total_seconds() + shared->revise_seconds;
     retrain_train_times_ += shared->train_times;
     retrain_revise_seconds_ += shared->revise_seconds;
     publisher_.store(shared->repository);
+    flush_runs();
+    DML_ALLOW_ALLOC("control-plane handoff at snapshot adoption (rare)");
     for (auto& shard : shards_) shard->queue.push(AdoptMsg{shared});
   }
-  broadcast_heartbeats(t);
+  if (config_.heartbeat_interval > 0 &&
+      (!next_heartbeat_ || *next_heartbeat_ <= t)) {
+    flush_runs();
+    broadcast_heartbeats(t);
+  }
   scheduler_.observe(event);
   last_event_time_ = std::max(last_event_time_, t);
-  shards_[shard_of(event)]->queue.push(EventMsg{event});
+  DML_ALLOW_ALLOC("run buffers retain capacity across spans; the append "
+                  "is amortized O(1) with no steady-state growth");
+  run_buffers_[shard_of(event)].push_back(event);
+}
+
+void ShardedEngine::broadcast_heartbeats(TimeSec t) {
+  if (!next_heartbeat_) {
+    next_heartbeat_ = t + config_.heartbeat_interval;
+    return;
+  }
+  while (*next_heartbeat_ <= t) {
+    for (auto& shard : shards_) {
+      shard->queue.push(FlushMsg{*next_heartbeat_});
+    }
+    *next_heartbeat_ += config_.heartbeat_interval;
+  }
 }
 
 void ShardedEngine::note_quarantine(std::size_t index, TimeSec at,
@@ -455,24 +392,12 @@ void ShardedEngine::note_quarantine(std::size_t index, TimeSec at,
 
 void ShardedEngine::worker(std::size_t index) {
   Shard& shard = *shards_[index];
-  ServingCore core(
-      sharded_serving_options(config_.engine, sharded_policy(config_.engine)));
+  ServingCore core(serving_options(config_.engine));
   std::vector<Message> batch;
   std::vector<predict::Warning> out;
   TimeSec watermark = std::numeric_limits<TimeSec>::min();
-  // Advances the watermark without serving — the quarantine drain: the
-  // merged stream (and the producer, via backpressure relief) must keep
-  // moving even when this shard has stopped serving.
-  const auto drain = [&](const Message& message) {
-    if (const auto* msg = std::get_if<EventMsg>(&message)) {
-      watermark = std::max(watermark, msg->event.time);
-      shard.rejected.fetch_add(1, std::memory_order_relaxed);
-    } else if (const auto* flush = std::get_if<FlushMsg>(&message)) {
-      watermark = std::max(watermark, flush->to);
-    }
-  };
-  // One event of an EventMsg or EventBatchMsg, exactly the per-event
-  // sequence: failpoint, then serve, then counters and watermark.
+  // One event of a run, exactly the per-event sequence: failpoint, then
+  // serve, then counters and watermark.
   const auto serve_event = [&](const bgl::Event& event) {
     // Fault injection: throw quarantines this shard, delay stalls
     // its queue (backpressure), drop skips the event (counted).
@@ -483,76 +408,70 @@ void ShardedEngine::worker(std::size_t index) {
       watermark = std::max(watermark, event.time);
       return;
     }
-    core.observe(event, out);
+    core.observe({&event, 1}, out);
     shard.events.fetch_add(1, std::memory_order_relaxed);
     if (event.fatal) {
       shard.fatals.fetch_add(1, std::memory_order_relaxed);
     }
     watermark = std::max(watermark, event.time);
   };
-  const auto drain_event = [&](const bgl::Event& event) {
-    watermark = std::max(watermark, event.time);
-    shard.rejected.fetch_add(1, std::memory_order_relaxed);
+  const auto serve_control = [&](const Message& message) {
+    if (const auto* adopt = std::get_if<AdoptMsg>(&message)) {
+      core.adopt(*adopt->build, out);
+    } else if (const auto* refresh = std::get_if<RefreshMsg>(&message)) {
+      core.refresh(refresh->at, out);
+    } else if (const auto* flush = std::get_if<FlushMsg>(&message)) {
+      core.advance(flush->to, out);
+      watermark = std::max(watermark, flush->to);
+    }
   };
-  // Quarantine bookkeeping happens after the faulting unit is drained,
-  // so the recorded watermark covers it (matching the serial path).
-  const auto quarantine = [&](const std::string& what) {
+  // Runs one unit (an event or a control message) unless the shard is
+  // quarantined; a throw quarantines it.  A unit not served is drained:
+  // its watermark still advances, so the merged stream (and the
+  // producer, via backpressure relief) keeps moving.  Quarantine
+  // bookkeeping happens after the drain, so the recorded watermark
+  // covers the faulting unit.
+  const auto guarded = [&](const auto& serve, const auto& drain) {
+    if (shard.error) {
+      drain();
+      return;
+    }
+    std::string what;
+    try {
+      serve();
+      return;
+    } catch (const std::exception& e) {
+      shard.error = std::current_exception();
+      what = e.what();
+    } catch (...) {
+      shard.error = std::current_exception();
+      what = "unknown exception";
+    }
+    out.clear();
+    drain();
     note_quarantine(index, watermark, what);
   };
   while (shard.queue.pop_all(batch)) {
     const auto start = std::chrono::steady_clock::now();
-    for (auto& message : batch) {
-      // A batched run is served event by event so a throw mid-run
-      // quarantines at the faulting event and drains only the rest —
-      // indistinguishable from the same run of single EventMsg.
-      if (auto* run = std::get_if<EventBatchMsg>(&message)) {
+    for (const auto& message : batch) {
+      if (const auto* run = std::get_if<EventBatchMsg>(&message)) {
+        // Served event by event so a throw mid-run quarantines at the
+        // faulting event and drains only the rest.
         for (const bgl::Event& event : run->events) {
-          if (shard.error) {
-            drain_event(event);
-            continue;
-          }
-          try {
-            serve_event(event);
-          } catch (const std::exception& e) {
-            shard.error = std::current_exception();
-            out.clear();
-            drain_event(event);
-            quarantine(e.what());
-          } catch (...) {
-            shard.error = std::current_exception();
-            out.clear();
-            drain_event(event);
-            quarantine("unknown exception");
-          }
+          guarded([&] { serve_event(event); },
+                  [&] {
+                    watermark = std::max(watermark, event.time);
+                    shard.rejected.fetch_add(1, std::memory_order_relaxed);
+                  });
         }
         continue;
       }
-      if (shard.error) {
-        drain(message);
-        continue;
-      }
-      try {
-        if (auto* msg = std::get_if<EventMsg>(&message)) {
-          serve_event(msg->event);
-        } else if (auto* adopt = std::get_if<AdoptMsg>(&message)) {
-          core.adopt(*adopt->build, out);
-        } else if (auto* refresh = std::get_if<RefreshMsg>(&message)) {
-          core.refresh(refresh->at, out);
-        } else if (auto* flush = std::get_if<FlushMsg>(&message)) {
-          core.flush(flush->to, out);
-          watermark = std::max(watermark, flush->to);
-        }
-      } catch (const std::exception& e) {
-        shard.error = std::current_exception();
-        out.clear();
-        drain(message);
-        quarantine(e.what());
-      } catch (...) {
-        shard.error = std::current_exception();
-        out.clear();
-        drain(message);
-        quarantine("unknown exception");
-      }
+      guarded([&] { serve_control(message); },
+              [&] {
+                if (const auto* flush = std::get_if<FlushMsg>(&message)) {
+                  watermark = std::max(watermark, flush->to);
+                }
+              });
     }
     shard.busy_seconds.store(
         shard.busy_seconds.load(std::memory_order_relaxed) +

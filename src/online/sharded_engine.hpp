@@ -50,15 +50,22 @@ struct ShardedEngineConfig {
   /// events are counted as rejected) and finish() returns normally with
   /// the failure in stats()/degradation_log() — serving semantics.
   bool rethrow_worker_errors = true;
-  /// Retraining/serving knobs.  per-scope prediction and asynchronous
-  /// snapshot builds are forced (per_scope_state, location_scoped,
-  /// absolute ticks); the classifier experts (decision tree/neural net)
-  /// are disabled because their whole-machine feature window does not
-  /// decompose by midplane.  async_retrain defaults on here; adoption
-  /// happens at boundary + adoption_lag (default: prediction_window) so
-  /// replays stay deterministic.
+  /// Retraining/serving knobs.  Per-scope prediction and absolute ticks
+  /// are forced, and adoption happens at boundary + adoption_lag
+  /// (default: prediction_window) so replays stay deterministic.
+  /// Settings sharding cannot run are rejected (require_shardable).
   OnlineEngineConfig engine;
 };
+
+/// Throws std::invalid_argument naming the config key of the first
+/// setting sharded serving cannot run: the decision-tree and neural-net
+/// experts (their features span the whole machine's recent stream, which
+/// does not decompose by midplane) and the adaptive window (its ticks
+/// follow the adopted window, not one absolute grid).  Running such a
+/// config sharded would silently serve a different rule space than the
+/// serial path, so ShardedEngine's constructor and
+/// sharded_config_from_driver both refuse it.
+void require_shardable(const OnlineEngineConfig& config);
 
 class ShardedEngine {
  public:
@@ -75,16 +82,18 @@ class ShardedEngine {
 
   /// Producer side; records must arrive in time order.  Blocks only on
   /// shard backpressure (and, in deterministic-adoption mode, when the
-  /// stream reaches an adoption point before the build finished).
-  void consume(const bgl::RasRecord& record);
-  void consume(const bgl::Event& event);
+  /// stream reaches an adoption point before the build finished).  A
+  /// throw mid-span (a `preprocess.push` or `engine.feed` failpoint)
+  /// leaves exactly the records before the faulting one fed.
+  void consume(std::span<const bgl::RasRecord> records);
+  void consume(const bgl::RasRecord& record) { consume({&record, 1}); }
 
-  /// Feeds a time-ordered run of categorized events with per-shard
-  /// queue handoffs amortized: each shard receives its events as one
-  /// batch message per run instead of one message per event.  The
-  /// merged warning multiset, schedule decisions, failpoint evaluation
-  /// sequence and backpressure contract are identical to consuming the
-  /// events one by one (DESIGN.md §13).
+  /// Feeds a time-ordered run of categorized events (a single event is a
+  /// span of one).  Each shard receives its events as one run message
+  /// per span, split only where a control message (refresh, adoption,
+  /// heartbeat) must follow the events before it.  The `engine.feed`
+  /// failpoint and the schedule decisions run once per event, in order
+  /// (DESIGN.md §13).
   void consume_batch(std::span<const bgl::Event> events);
 
   /// Restart path: replays [repo.first_time(), serve_from) through the
@@ -133,10 +142,18 @@ class ShardedEngine {
   class WarningMerger;
 
   SessionStats collect_stats() const;
-  void feed(const bgl::Event& event);
-  void feed_batch(std::span<const bgl::Event> events);
-  /// Hands every buffered per-shard run to its queue (feed_batch).
-  void flush_feed_runs();
+  /// Runs `body` (which route()s events) and hands every buffered
+  /// per-shard run to its queue afterwards — also when body throws, so
+  /// the prefix routed before the throw is fed.
+  template <class Body>
+  void feed_runs(const Body& body);
+  /// Hands every buffered per-shard run to its queue.
+  void flush_runs();
+  /// The per-event producer path: `engine.feed` failpoint, control plane
+  /// (RetrainScheduler::step), heartbeats, then the event joins its
+  /// shard's run buffer.
+  void route(const bgl::Event& event);
+  void route_all(std::span<const bgl::Event> events);
   void broadcast_heartbeats(TimeSec t);
   void worker(std::size_t index);
   void note_quarantine(std::size_t index, TimeSec at, std::string what)
@@ -152,9 +169,9 @@ class ShardedEngine {
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<WarningMerger> merger_;
-  /// feed_batch()'s per-shard run buffers (producer-owned scratch);
-  /// always empty between consume calls.
-  std::vector<std::vector<bgl::Event>> feed_runs_;
+  /// Per-shard run buffers (producer-owned scratch); always empty
+  /// between consume calls.
+  std::vector<std::vector<bgl::Event>> run_buffers_;
 
   // Producer-side state.
   std::uint64_t records_consumed_ = 0;

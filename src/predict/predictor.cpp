@@ -87,9 +87,9 @@ Predictor::Predictor(const meta::KnowledgeRepository& repository,
       category_has_rules_[c] = e_list_[c].empty() ? 0 : 1;
     }
   }
-  // Chain stages join the relevance table: the observe_batch skip path
-  // must not skip an event some chain needs to see, or the serial and
-  // batched warning streams would diverge.
+  // Chain stages join the relevance table: the observe() skip path must
+  // not skip an event some chain needs to see, or the warning stream
+  // would depend on how it is cut into spans.
   if (!chain_member_.empty()) {
     if (category_has_rules_.size() < chain_member_.size()) {
       category_has_rules_.resize(chain_member_.size(), 0);
@@ -491,29 +491,14 @@ void DML_HOT Predictor::observe_impl(const bgl::Event& event,
   }
 }
 
-void DML_HOT Predictor::observe_into(const bgl::Event& event,
-                             std::vector<Warning>& out) {
-  if (scoped()) {
-    observe_impl<true>(event, out);
-  } else {
-    observe_impl<false>(event, out);
-  }
-}
-
-std::vector<Warning> Predictor::observe(const bgl::Event& event) {
-  std::vector<Warning> out;
-  observe_into(event, out);
-  return out;
-}
-
 #if defined(__GNUC__)
-// Inline the whole per-event path into the batch loop: the call
+// Inline the whole per-event path into the span loop: the call
 // prologue and re-loaded member state are measurable at 10ns/event.
 __attribute__((flatten))
 #endif
-void DML_HOT Predictor::observe_batch(std::span<const bgl::Event> events,
-                              std::vector<Warning>& out) {
-  // One scoped-ness dispatch per batch, not per event.
+void DML_HOT Predictor::observe(std::span<const bgl::Event> events,
+                                std::vector<Warning>& out) {
+  // One scoped-ness dispatch per span, not per event.
   if (scoped()) {
     for (const bgl::Event& event : events) observe_impl<true>(event, out);
     return;
@@ -524,8 +509,9 @@ void DML_HOT Predictor::observe_batch(std::span<const bgl::Event> events,
   // ignores its category, and the distribution expert cannot fire
   // before the horizon.  Deferring expire() is sound because pops are
   // monotone in `now` and every state read (antecedent walk, fatal
-  // count, distribution check) re-runs expire first, so the serial and
-  // batched paths stay bit-identical (DESIGN.md §13).  The classifier
+  // count, distribution check) re-runs expire first, so a stream yields
+  // the same warnings however it is cut into spans (DESIGN.md §13).  The
+  // classifier
   // experts track every event, so their presence disables the skip.
   if (!feature_tracker_.has_value()) {
     const std::uint8_t* has_rules = category_has_rules_.data();
@@ -547,26 +533,27 @@ void DML_HOT Predictor::tick_into(TimeSec now, std::vector<Warning>& out) {
   check_distribution(out, now);
 }
 
-std::vector<Warning> Predictor::tick(TimeSec now) {
-  std::vector<Warning> out;
-  tick_into(now, out);
-  return out;
-}
-
 std::vector<Warning> Predictor::run(std::span<const bgl::Event> events,
                                     DurationSec tick_interval) {
   std::vector<Warning> all;
-  std::optional<TimeSec> next_tick;
-  for (const auto& event : events) {
-    if (tick_interval > 0) {
-      if (!next_tick) next_tick = event.time + tick_interval;
-      while (*next_tick < event.time) {
-        tick_into(*next_tick, all);
-        *next_tick += tick_interval;
-      }
-    }
-    observe_into(event, all);
+  if (tick_interval <= 0 || events.empty()) {
+    observe(events, all);
+    return all;
   }
+  // Ticks anchor at the first event; each run of events between two due
+  // ticks is one observe() span.
+  TimeSec next_tick = events.front().time + tick_interval;
+  std::size_t begin = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (next_tick >= events[i].time) continue;
+    observe(events.subspan(begin, i - begin), all);
+    begin = i;
+    while (next_tick < events[i].time) {
+      tick_into(next_tick, all);
+      next_tick += tick_interval;
+    }
+  }
+  observe(events.subspan(begin), all);
   return all;
 }
 

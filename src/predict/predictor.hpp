@@ -16,8 +16,8 @@
 // counts / active-warning deadlines live in open-addressing flat maps
 // (common/flat_map.hpp), per-midplane fatal counts are maintained
 // incrementally instead of re-scanning the fatal window on every
-// failure, and observe_into() appends to a caller-owned warning buffer
-// so a serving loop allocates nothing per event.
+// failure, and observe() appends to a caller-owned warning buffer so a
+// serving loop allocates nothing per event.
 #pragma once
 
 #include <limits>
@@ -90,31 +90,21 @@ class Predictor {
   Predictor(const meta::KnowledgeRepository& repository, DurationSec window,
             PredictorOptions options = {});
 
-  /// Feeds one event (events must arrive in non-decreasing time order);
-  /// appends the warnings it triggered to `out` (which is NOT cleared —
-  /// serving loops reuse one buffer across events).
-  void observe_into(const bgl::Event& event, std::vector<Warning>& out);
-
-  /// Batch form of observe_into: feeds every event in order and appends
-  /// the concatenated warnings.  Bit-identical to calling observe_into
-  /// per event — the batch exists so replay/serving loops make one call
-  /// per buffer instead of one per event (DESIGN.md §13).
-  void observe_batch(std::span<const bgl::Event> events,
-                     std::vector<Warning>& out);
-
-  /// Convenience wrapper: observe_into with a fresh vector per call.
-  std::vector<Warning> observe(const bgl::Event& event);
+  /// Feeds a time-ordered run of events (a single event is a span of
+  /// one) and appends the warnings they triggered to `out`, which is NOT
+  /// cleared — serving loops reuse one buffer across calls.  Events must
+  /// arrive in non-decreasing time order across calls too.
+  void observe(std::span<const bgl::Event> events, std::vector<Warning>& out);
 
   /// Clock tick: the online monitor's periodic self-check.  Runs only
   /// the distribution expert (elapsed-time check) — no window state is
   /// touched, so ticks and events may interleave freely as long as time
-  /// never goes backwards.  Appends to `out` like observe_into.
+  /// never goes backwards.  Appends to `out` like observe().
   void tick_into(TimeSec now, std::vector<Warning>& out);
 
-  std::vector<Warning> tick(TimeSec now);
-
   /// Convenience: runs a whole span and collects every warning, with
-  /// PD clock ticks injected every `tick_interval` (0 = no ticks).
+  /// PD clock ticks injected every `tick_interval` (0 = no ticks).  The
+  /// events between two ticks go through observe() as one span.
   std::vector<Warning> run(std::span<const bgl::Event> events,
                            DurationSec tick_interval = 0);
 
@@ -129,9 +119,9 @@ class Predictor {
   }
   template <bool kScoped>
   void expire(TimeSec now);
-  /// observe_into's body, specialized at compile time on scoped-ness so
-  /// the plain serving loop carries no per-event scope branches and
-  /// skips the midplane decode entirely (DESIGN.md §13).
+  /// observe()'s per-event body, specialized at compile time on
+  /// scoped-ness so the plain serving loop carries no per-event scope
+  /// branches and skips the midplane decode entirely (DESIGN.md §13).
   template <bool kScoped>
   void observe_impl(const bgl::Event& event, std::vector<Warning>& out);
   /// True when the chain's earlier stages occurred in order within
@@ -165,7 +155,7 @@ class Predictor {
   /// table indexed by CategoryId (the taxonomy is ~219 entries).
   std::vector<std::vector<const meta::StoredRule*>> e_list_;
   /// Byte-per-category mirror of "e_list_[c] is non-empty" — one L1
-  /// load on the observe_batch skip path (DESIGN.md §13).
+  /// load on the observe() skip path (DESIGN.md §13).
   std::vector<std::uint8_t> category_has_rules_;
   /// Fatal category -> association rules predicting it (re-arm index),
   /// dense like the E-List.
@@ -179,7 +169,7 @@ class Predictor {
   std::vector<std::vector<const meta::StoredRule*>> chain_by_last_;
   /// Byte-per-category: the category is a stage of some chain, so its
   /// events are retained in chain_recent_.  Folded into
-  /// category_has_rules_ for the observe_batch skip path.
+  /// category_has_rules_ for the observe() skip path.
   std::vector<std::uint8_t> chain_member_;
   /// Longest lookback any chain can need: max over chain rules of
   /// (stages - 1) * stage_window.  0 = no chain rules (all chain code

@@ -11,6 +11,17 @@ std::vector<bgl::Event> materialize(const EventRepository& repo,
   return events;
 }
 
+void for_each_batch(
+    const EventRepository& repo, TimeSec begin, TimeSec end,
+    const std::function<void(std::span<const bgl::Event>)>& fn) {
+  auto cursor = repo.scan(begin, end);
+  std::vector<bgl::Event> batch;
+  while (cursor->next(batch, kDefaultScanBatch) > 0) {
+    fn(batch);
+    batch.clear();
+  }
+}
+
 std::vector<std::size_t> fatal_per_day(const EventRepository& repo,
                                        TimeSec origin, TimeSec end_time) {
   std::vector<std::size_t> counts;
@@ -19,30 +30,25 @@ std::vector<std::size_t> fatal_per_day(const EventRepository& repo,
       static_cast<std::size_t>((end_time - origin + kSecondsPerDay - 1) /
                                kSecondsPerDay),
       0);
-  auto cursor = repo.scan(origin, end_time);
-  std::vector<bgl::Event> batch;
-  while (cursor->next(batch, kDefaultScanBatch) > 0) {
+  for_each_batch(repo, origin, end_time, [&](auto batch) {
     for (const auto& event : batch) {
       if (event.fatal) {
         ++counts[static_cast<std::size_t>(day_index(event.time, origin))];
       }
     }
-    batch.clear();
-  }
+  });
   return counts;
 }
 
 std::vector<TimeSec> fatal_times(const EventRepository& repo) {
   std::vector<TimeSec> times;
   if (repo.size() == 0) return times;
-  auto cursor = repo.scan(repo.first_time(), repo.last_time() + 1);
-  std::vector<bgl::Event> batch;
-  while (cursor->next(batch, kDefaultScanBatch) > 0) {
-    for (const auto& event : batch) {
-      if (event.fatal) times.push_back(event.time);
-    }
-    batch.clear();
-  }
+  for_each_batch(repo, repo.first_time(), repo.last_time() + 1,
+                 [&](auto batch) {
+                   for (const auto& event : batch) {
+                     if (event.fatal) times.push_back(event.time);
+                   }
+                 });
   return times;
 }
 

@@ -15,7 +15,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "bgl/record.hpp"
@@ -89,6 +91,11 @@ class EventRepository {
 /// interval's test span, a warm-up window — never the whole archive).
 std::vector<bgl::Event> materialize(const EventRepository& repo,
                                     TimeSec begin, TimeSec end);
+
+/// Streams [begin, end) through `fn` one scan batch at a time (bounded
+/// memory over any range).
+void for_each_batch(const EventRepository& repo, TimeSec begin, TimeSec end,
+                    const std::function<void(std::span<const bgl::Event>)>& fn);
 
 /// Fatal events per day relative to `origin` covering [origin, end_time)
 /// — the Figure 4 series, computed with one scan.

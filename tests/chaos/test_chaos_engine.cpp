@@ -73,7 +73,7 @@ std::vector<WarningKey> replay(const logio::EventStore& store,
     last_issued = w.issued_at;
     warnings.push_back(key_of(w));
   });
-  for (const auto& event : store.all()) engine.consume(event);
+  for (const auto& event : store.all()) engine.consume_batch({&event, 1});
   const auto stats = engine.finish();
   if (stats_out) *stats_out = stats;
   if (log_out) *log_out = engine.degradation_log();

@@ -65,7 +65,7 @@ std::size_t reference_warning_count() {
     online::ShardedEngine engine(
         online::sharded_config_from_driver(driver, 2),
         [&](const predict::Warning&) { ++warnings; });
-    for (const auto& event : corpus()) engine.consume(event);
+    for (const auto& event : corpus()) engine.consume_batch({&event, 1});
     engine.finish();
     return warnings;
   }();

@@ -53,7 +53,7 @@ TEST(Determinism, OnlineEngineSessionsAreIdentical) {
     });
     for (const auto& event :
          testing::weeks_of(testing::shared_store(), 0, 16)) {
-      engine.consume(event);
+      engine.consume_batch({&event, 1});
     }
     return issue_times;
   };

@@ -51,7 +51,7 @@ Replay replay(std::size_t shards, int weeks) {
   });
   const auto& store = testing::shared_store();
   const auto events = testing::weeks_of(store, 0, weeks);
-  for (const auto& event : events) engine.consume(event);
+  for (const auto& event : events) engine.consume_batch({&event, 1});
   result.stats = engine.finish();
 
   const TimeSec eval_begin = store.first_time() + 4 * kSecondsPerWeek;

@@ -59,7 +59,7 @@ std::vector<WarningKey> batch_warnings(const std::vector<bgl::Event>& events) {
   std::vector<WarningKey> out;
   online::ShardedEngine engine(
       config, [&](const predict::Warning& w) { out.push_back(key_of(w)); });
-  for (const auto& event : events) engine.consume(event);
+  for (const auto& event : events) engine.consume_batch({&event, 1});
   engine.finish();
   std::sort(out.begin(), out.end());
   return out;

@@ -48,7 +48,7 @@ std::size_t reference_warning_count() {
     std::size_t warnings = 0;
     online::ShardedEngine engine(config,
                                  [&](const predict::Warning&) { ++warnings; });
-    for (const auto& event : corpus()) engine.consume(event);
+    for (const auto& event : corpus()) engine.consume_batch({&event, 1});
     engine.finish();
     return warnings;
   }();

@@ -1,9 +1,10 @@
-// Batch/serial equivalence (DESIGN.md §13): the batched entry points —
-// Predictor::observe_batch, OnlineEngine::consume_batch and
-// ShardedEngine::consume_batch — must produce exactly the warning
-// stream of the per-event calls (multiset-identical for the sharded
+// Span-cut equivalence (DESIGN.md §13): the span entry points —
+// Predictor::observe, OnlineEngine::consume_batch / consume and
+// ShardedEngine::consume_batch / consume — must produce the same warning
+// stream whether a stream arrives one event (or record) at a time or in
+// awkward multi-element spans (multiset-identical for the sharded
 // front-end, whose merge order is already only multiset-stable), on
-// clean streams and with feed/worker failpoints firing.
+// clean streams and with feed/worker/preprocess failpoints firing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 #include "common/failpoint.hpp"
 #include "common/rng.hpp"
 #include "loggen/generator.hpp"
+#include "logio/record_sink.hpp"
 #include "online/engine.hpp"
 #include "online/sharded_engine.hpp"
 #include "predict/predictor.hpp"
@@ -88,7 +90,7 @@ std::vector<predict::Warning> run_engine(std::span<const bgl::Event> events,
       offset += len;
     }
   } else {
-    for (const auto& event : events) engine.consume(event);
+    for (const auto& event : events) engine.consume_batch({&event, 1});
   }
   engine.finish();
   return warnings;
@@ -113,7 +115,7 @@ std::vector<predict::Warning> run_sharded(std::span<const bgl::Event> events,
       offset += len;
     }
   } else {
-    for (const auto& event : events) engine.consume(event);
+    for (const auto& event : events) engine.consume_batch({&event, 1});
   }
   engine.finish();
   return warnings;
@@ -126,13 +128,13 @@ TEST(BatchEquivalence, PredictorObserveBatchMatchesSerial) {
 
   predict::Predictor serial(repo, testing::kWp);
   std::vector<predict::Warning> serial_out;
-  for (const auto& event : events) serial.observe_into(event, serial_out);
+  for (const auto& event : events) serial.observe({&event, 1}, serial_out);
 
   predict::Predictor batched(repo, testing::kWp);
   std::vector<predict::Warning> batch_out;
   std::size_t offset = 0;
   for (const std::size_t len : chunk_lengths(events.size(), 29)) {
-    batched.observe_batch(events.subspan(offset, len), batch_out);
+    batched.observe(events.subspan(offset, len), batch_out);
     offset += len;
   }
 
@@ -182,8 +184,8 @@ class BatchEquivalenceFaultTest : public ::testing::Test {
 };
 
 TEST_F(BatchEquivalenceFaultTest, EngineFeedDropsMatchSerial) {
-  // engine.feed fires on the producer thread in both paths; feed_batch
-  // must evaluate it once per event, in order, so the same events drop.
+  // engine.feed fires on the producer thread however the stream is cut;
+  // it is evaluated once per event, in order, so the same events drop.
   const auto events = testing::weeks_of(testing::shared_store(), 0, 8);
 
   rearm("engine.feed=drop:p=0.02");
@@ -198,7 +200,7 @@ TEST_F(BatchEquivalenceFaultTest, EngineFeedDropsMatchSerial) {
       std::lock_guard lock(mutex);
       serial.push_back(w);
     });
-    for (const auto& event : events) engine.consume(event);
+    for (const auto& event : events) engine.consume_batch({&event, 1});
     const auto stats = engine.finish();
     EXPECT_GT(stats.records_rejected, 0u);
   }
@@ -233,9 +235,9 @@ TEST_F(BatchEquivalenceFaultTest, EngineFeedDropsMatchSerial) {
 
 TEST_F(BatchEquivalenceFaultTest, SingleShardWorkerDropsMatchSerial) {
   // With one shard the worker's failpoint stream is single-threaded, so
-  // the full ordered warning stream must match — this pins the
-  // EventBatchMsg path to the exact per-event failpoint/serve/counter
-  // sequence of EventMsg.
+  // the full ordered warning stream must match — this pins multi-event
+  // runs to the exact per-event failpoint/serve/counter sequence of runs
+  // of one.
   const auto events = testing::weeks_of(testing::shared_store(), 0, 8);
 
   const auto run = [&](bool batch_mode) {
@@ -255,7 +257,7 @@ TEST_F(BatchEquivalenceFaultTest, SingleShardWorkerDropsMatchSerial) {
         offset += len;
       }
     } else {
-      for (const auto& event : events) engine.consume(event);
+      for (const auto& event : events) engine.consume_batch({&event, 1});
     }
     const auto stats = engine.finish();
     EXPECT_GT(stats.records_rejected, 0u);
@@ -293,6 +295,93 @@ TEST_F(BatchEquivalenceFaultTest, MidBatchQuarantineDrainsRemainder) {
   ASSERT_EQ(reports.size(), 1u);
   // Everything after the 100 served events was drained, not lost.
   EXPECT_EQ(reports[0].events + stats.records_rejected, events.size());
+}
+
+/// Raw records of an 8-week tiny log (cached): input for the record-span
+/// entry points.
+const std::vector<bgl::RasRecord>& raw_records() {
+  static const std::vector<bgl::RasRecord> records = [] {
+    logio::VectorSink sink;
+    loggen::LogGenerator(testing::tiny_profile(8), 77).generate(sink);
+    return sink.records();
+  }();
+  return records;
+}
+
+/// Feeds `records` to `engine` one record at a time (serial) or in
+/// awkward spans, swallowing failpoint throws and resuming after the
+/// faulting record.  A span that throws must have consumed exactly the
+/// records before the faulting one plus the faulting one itself, so
+/// records_consumed says where to resume.  Returns the throws seen.
+template <class Engine>
+std::size_t feed_records(Engine& engine, bool batched) {
+  const std::span<const bgl::RasRecord> records = raw_records();
+  std::size_t throws = 0;
+  std::size_t offset = 0;
+  const auto lengths = chunk_lengths(records.size(), 53);
+  std::size_t chunk = 0;
+  while (offset < records.size()) {
+    const std::size_t len =
+        batched ? std::min(lengths[chunk++], records.size() - offset) : 1;
+    const std::uint64_t before = engine.stats().records_consumed;
+    try {
+      engine.consume(records.subspan(offset, len));
+      offset += len;
+    } catch (const common::FailpointError&) {
+      ++throws;
+      const std::uint64_t consumed = engine.stats().records_consumed - before;
+      EXPECT_GE(consumed, 1u);
+      EXPECT_LE(consumed, len);
+      offset += consumed;
+    }
+  }
+  return throws;
+}
+
+TEST_F(BatchEquivalenceFaultTest, RecordSpanThrowLeavesExactPrefix) {
+  // preprocess.push throws mid-span: the records before the faulting
+  // one must be fully served, so resuming after it reproduces the
+  // per-record stream exactly (ordered for OnlineEngine, multiset for
+  // ShardedEngine).
+  const auto online_run = [&](bool batched) {
+    rearm("preprocess.push=throw:after=3000:max=1");
+    std::vector<predict::Warning> warnings;
+    auto config = engine_config();
+    config.min_training_events = 50;
+    OnlineEngine engine(config, [&](const predict::Warning& w) {
+      warnings.push_back(w);
+    });
+    EXPECT_EQ(feed_records(engine, batched), 1u);
+    engine.finish();
+    EXPECT_EQ(engine.stats().records_consumed, raw_records().size());
+    return keys(warnings);
+  };
+  const auto serial = online_run(/*batched=*/false);
+  ASSERT_GT(serial.size(), 0u);
+  EXPECT_EQ(serial, online_run(/*batched=*/true));
+
+  const auto sharded_run = [&](bool batched) {
+    rearm("preprocess.push=throw:after=3000:max=1");
+    std::mutex mutex;
+    std::vector<predict::Warning> warnings;
+    ShardedEngineConfig config;
+    config.shards = 2;
+    config.engine = engine_config();
+    config.engine.async_retrain = true;
+    ShardedEngine engine(config, [&](const predict::Warning& w) {
+      std::lock_guard lock(mutex);
+      warnings.push_back(w);
+    });
+    EXPECT_EQ(feed_records(engine, batched), 1u);
+    const auto stats = engine.finish();
+    EXPECT_EQ(stats.records_consumed, raw_records().size());
+    auto sorted = keys(warnings);
+    std::sort(sorted.begin(), sorted.end());
+    return sorted;
+  };
+  const auto sharded_serial = sharded_run(/*batched=*/false);
+  ASSERT_GT(sharded_serial.size(), 0u);
+  EXPECT_EQ(sharded_serial, sharded_run(/*batched=*/true));
 }
 
 }  // namespace

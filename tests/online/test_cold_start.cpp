@@ -63,7 +63,7 @@ TEST(EngineColdStart, MatchesUninterruptedReplayFromArbitraryOffset) {
   {
     OnlineEngine engine(engine_config(),
                         [&](const predict::Warning& w) { full.push_back(w); });
-    for (const auto& event : store.all()) engine.consume(event);
+    for (const auto& event : store.all()) engine.consume_batch({&event, 1});
     engine.finish();
   }
   std::vector<std::string> full_tail;
@@ -79,7 +79,7 @@ TEST(EngineColdStart, MatchesUninterruptedReplayFromArbitraryOffset) {
   engine.cold_start(store, serve_from);
   EXPECT_GT(engine.stats().cold_start_events, 0u);
   const auto tail = store.between(serve_from, store.last_time() + 1);
-  for (const auto& event : tail) engine.consume(event);
+  for (const auto& event : tail) engine.consume_batch({&event, 1});
   engine.finish();
 
   EXPECT_EQ(keys_of(resumed), full_tail);
@@ -94,7 +94,7 @@ TEST(EngineColdStart, ServeFromBeforeFirstEventIsAFullReplay) {
   {
     OnlineEngine engine(engine_config(),
                         [&](const predict::Warning& w) { full.push_back(w); });
-    for (const auto& event : store.all()) engine.consume(event);
+    for (const auto& event : store.all()) engine.consume_batch({&event, 1});
     engine.finish();
   }
   std::vector<predict::Warning> resumed;
@@ -103,7 +103,7 @@ TEST(EngineColdStart, ServeFromBeforeFirstEventIsAFullReplay) {
   });
   engine.cold_start(store, store.first_time());  // no-op by contract
   EXPECT_EQ(engine.stats().cold_start_events, 0u);
-  for (const auto& event : store.all()) engine.consume(event);
+  for (const auto& event : store.all()) engine.consume_batch({&event, 1});
   engine.finish();
   EXPECT_EQ(keys_of(resumed), keys_of(full));
 }
@@ -205,7 +205,7 @@ TEST(ShardedColdStart, PostResumeWarningMultisetMatchesFullRun) {
     const auto tail =
         store.between(resume ? serve_from : store.first_time(),
                       store.first_time() + 28 * kSecondsPerWeek);
-    for (const auto& event : tail) engine.consume(event);
+    for (const auto& event : tail) engine.consume_batch({&event, 1});
     engine.finish();
     return warnings;
   };

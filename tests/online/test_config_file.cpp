@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 
 namespace dml::online {
@@ -114,6 +115,35 @@ TEST(ConfigFile, RenderParseRoundTrip) {
   EXPECT_EQ(parsed.mode, TrainingMode::kStatic);
   EXPECT_TRUE(parsed.learner.enable_neural_net);
   EXPECT_TRUE(parsed.predictor.location_scoped);
+}
+
+TEST(ConfigFile, KeyTableDrivesTemplateAndFlags) {
+  // One table row per key: the template lists each once, every row
+  // parses its own rendered default back, and no flag is spelled twice.
+  const auto keys = driver_keys();
+  EXPECT_EQ(keys.size(), 19u);
+  const std::string text = render_driver_config({});
+  std::set<std::string_view> flags;
+  for (const auto& key : keys) {
+    EXPECT_NE(text.find("\n" + std::string(key.key) + " = "),
+              std::string::npos)
+        << key.key;
+    for (const auto& flag : key.flags) {
+      if (!flag.name.empty()) {
+        EXPECT_TRUE(flags.insert(flag.name).second) << flag.name;
+      }
+    }
+  }
+  EXPECT_EQ(flags.size(), 9u);
+  std::stringstream stream(text);
+  EXPECT_TRUE(std::holds_alternative<DriverConfig>(parse_driver_config(stream)));
+}
+
+TEST(ConfigFile, NumbersMustParseWhole) {
+  EXPECT_EQ(must_fail("min_roc = nan\n").line, 1u);
+  EXPECT_EQ(must_fail("min_support = 0.1x\n").line, 1u);
+  EXPECT_EQ(must_fail("retrain_weeks = 4 weeks\n").line, 1u);
+  EXPECT_EQ(must_fail("training_weeks = 2.5\n").line, 1u);
 }
 
 }  // namespace

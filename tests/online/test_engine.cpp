@@ -5,6 +5,7 @@
 #include "loggen/generator.hpp"
 #include "predict/outcome_matcher.hpp"
 #include "support/test_fixtures.hpp"
+#include "support/span_calls.hpp"
 
 namespace dml::online {
 namespace {
@@ -22,7 +23,7 @@ TEST(OnlineEngine, SilentBeforeFirstTraining) {
                       [&](const predict::Warning&) { ++warnings; });
   const auto& store = testing::shared_store();
   for (const auto& event : testing::weeks_of(store, 0, 3)) {
-    engine.consume(event);
+    engine.consume_batch({&event, 1});
   }
   EXPECT_EQ(warnings, 0u);
   EXPECT_TRUE(engine.rules().empty());
@@ -35,7 +36,7 @@ TEST(OnlineEngine, RetrainsOnScheduleAndWarns) {
                       [&](const predict::Warning&) { ++warnings; });
   const auto& store = testing::shared_store();
   for (const auto& event : testing::weeks_of(store, 0, 20)) {
-    engine.consume(event);
+    engine.consume_batch({&event, 1});
   }
   const auto stats = engine.stats();
   // 20 weeks / 4-week cadence -> 4 retrainings (first at week 4).
@@ -53,7 +54,7 @@ TEST(OnlineEngine, HistoryStaysBounded) {
   const auto& store = testing::shared_store();
   std::size_t max_history = 0;
   for (const auto& event : testing::weeks_of(store, 0, 20)) {
-    engine.consume(event);
+    engine.consume_batch({&event, 1});
     max_history = std::max(max_history, engine.stats().history_size);
   }
   // Two weeks of this log is a few hundred events; 20 weeks is ~2500.
@@ -87,7 +88,7 @@ TEST(OnlineEngine, RetrainNowForcesTraining) {
   OnlineEngine engine(config, nullptr);
   const auto& store = testing::shared_store();
   for (const auto& event : testing::weeks_of(store, 0, 1)) {
-    engine.consume(event);
+    engine.consume_batch({&event, 1});
   }
   EXPECT_EQ(engine.stats().retrainings, 0u);
   engine.retrain_now();
@@ -111,7 +112,7 @@ TEST(OnlineEngine, MinTrainingEventsGatesEveryBoundary) {
   OnlineEngine engine(config, [&](const predict::Warning&) { ++warnings; });
   const auto& store = testing::shared_store();
   for (const auto& event : testing::weeks_of(store, 0, 20)) {
-    engine.consume(event);
+    engine.consume_batch({&event, 1});
   }
   // Boundaries keep coming due, but the gate refuses them all: no rules,
   // no warnings, and the schedule does not wedge.
@@ -141,20 +142,20 @@ TEST(OnlineEngine, BoundaryTrainingSetExcludesTheBoundaryEvent) {
   config.min_training_events = 3;
   {
     OnlineEngine engine(config, nullptr);
-    engine.consume(synthetic_event(0, 1, false));
-    engine.consume(synthetic_event(500, 2, true));
-    engine.consume(synthetic_event(1000, 1, false));
+    testing::consume_one(engine, synthetic_event(0, 1, false));
+    testing::consume_one(engine, synthetic_event(500, 2, true));
+    testing::consume_one(engine, synthetic_event(1000, 1, false));
     EXPECT_EQ(engine.stats().retrainings, 0u);
   }
   //  - events {0, 400, 800} strictly before it: 3 >= 3 -> it trains the
   //    moment the boundary-time event arrives.
   {
     OnlineEngine engine(config, nullptr);
-    engine.consume(synthetic_event(0, 1, false));
-    engine.consume(synthetic_event(400, 2, true));
-    engine.consume(synthetic_event(800, 1, false));
+    testing::consume_one(engine, synthetic_event(0, 1, false));
+    testing::consume_one(engine, synthetic_event(400, 2, true));
+    testing::consume_one(engine, synthetic_event(800, 1, false));
     EXPECT_EQ(engine.stats().retrainings, 0u);
-    engine.consume(synthetic_event(1000, 1, false));
+    testing::consume_one(engine, synthetic_event(1000, 1, false));
     EXPECT_EQ(engine.stats().retrainings, 1u);
   }
 }
@@ -164,7 +165,7 @@ TEST(OnlineEngine, PinnedSnapshotSurvivesRetraining) {
   OnlineEngine engine(config, nullptr);
   const auto& store = testing::shared_store();
   for (const auto& event : testing::weeks_of(store, 0, 6)) {
-    engine.consume(event);
+    engine.consume_batch({&event, 1});
   }
   ASSERT_EQ(engine.stats().retrainings, 1u);
   const meta::RepositorySnapshot pinned = engine.rules_snapshot();
@@ -172,7 +173,7 @@ TEST(OnlineEngine, PinnedSnapshotSurvivesRetraining) {
   ASSERT_GT(pinned_size, 0u);
 
   for (const auto& event : testing::weeks_of(store, 6, 12)) {
-    engine.consume(event);
+    engine.consume_batch({&event, 1});
   }
   ASSERT_GE(engine.stats().retrainings, 2u);
   // The RCU contract: the pinned snapshot is untouched by later swaps.
@@ -190,7 +191,7 @@ TEST(OnlineEngine, AsyncBuildAdoptsAtBoundaryPlusLag) {
   });
   const auto& store = testing::shared_store();
   for (const auto& event : testing::weeks_of(store, 0, 10)) {
-    engine.consume(event);
+    engine.consume_batch({&event, 1});
   }
   engine.finish();
   ASSERT_GE(engine.retrain_log().size(), 2u);
@@ -214,7 +215,7 @@ TEST(OnlineEngine, MatchesBatchAccuracyBallpark) {
   });
   const auto& store = testing::shared_store();
   const auto events = testing::weeks_of(store, 0, 24);
-  for (const auto& event : events) engine.consume(event);
+  for (const auto& event : events) engine.consume_batch({&event, 1});
 
   // Evaluate warnings against the span after the first training.
   const TimeSec eval_begin =

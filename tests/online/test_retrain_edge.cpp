@@ -72,7 +72,7 @@ TEST_F(RetrainEdgeTest, SlidingWindowTrimmedToZeroEventsIsSkipped) {
 
 TEST_F(RetrainEdgeTest, AsyncAdoptionLandsExactlyOnTheLagInstant) {
   auto policy = edge_policy();
-  policy.async = true;
+  policy.async_retrain = true;
   policy.adoption_lag = 3600;
   RetrainScheduler scheduler(policy);
   const auto& store = testing::shared_store();
@@ -101,7 +101,7 @@ TEST_F(RetrainEdgeTest, SchedulerTearsDownCleanlyWithBuildInFlight) {
   ASSERT_TRUE(common::FailpointRegistry::instance().arm_from_string(
       "retrain.build=delay:ms=100"));
   auto policy = edge_policy();
-  policy.async = true;
+  policy.async_retrain = true;
   policy.adoption_lag = kSecondsPerWeek;  // adoption far in the future
   {
     RetrainScheduler scheduler(policy);
@@ -140,7 +140,7 @@ TEST_F(RetrainEdgeTest, EngineTearsDownCleanlyWithBuildInFlight) {
     ShardedEngine engine(config, nullptr);
     const auto& store = testing::shared_store();
     for (const auto& event : testing::weeks_of(store, 0, 2)) {
-      engine.consume(event);
+      engine.consume_batch({&event, 1});
     }
   }
   SUCCEED();
@@ -225,7 +225,7 @@ TEST_F(RetrainEdgeTest, AsyncBuildFailureSurfacesAtTheAdoptionPoint) {
   ASSERT_TRUE(common::FailpointRegistry::instance().arm_from_string(
       "retrain.build=throw"));
   auto policy = edge_policy();
-  policy.async = true;
+  policy.async_retrain = true;
   policy.adoption_lag = 3600;
   RetrainScheduler scheduler(policy);
   const auto& store = testing::shared_store();

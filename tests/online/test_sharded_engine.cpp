@@ -32,7 +32,7 @@ TEST(ShardedEngine, ServesAndRetrainsAcrossShards) {
 
   const auto& store = testing::shared_store();
   const auto events = testing::weeks_of(store, 0, 12);
-  for (const auto& event : events) engine.consume(event);
+  for (const auto& event : events) engine.consume_batch({&event, 1});
   const auto stats = engine.finish();
 
   EXPECT_EQ(stats.records_consumed, events.size());
@@ -62,7 +62,7 @@ TEST(ShardedEngine, MergedWarningStreamIsTimeOrdered) {
   });
   const auto& store = testing::shared_store();
   for (const auto& event : testing::weeks_of(store, 0, 10)) {
-    engine.consume(event);
+    engine.consume_batch({&event, 1});
   }
   engine.finish();
   ASSERT_GT(issued.size(), 10u);
@@ -77,7 +77,7 @@ TEST(ShardedEngine, FinishIsIdempotentAndDestructorSafe) {
       sharded_config(2), [&](const predict::Warning&) { ++warnings; });
   const auto& store = testing::shared_store();
   for (const auto& event : testing::weeks_of(store, 0, 6)) {
-    engine->consume(event);
+    engine->consume_batch({&event, 1});
   }
   const auto first = engine->finish();
   const auto second = engine->finish();
@@ -114,7 +114,7 @@ TEST_F(ShardedEngineFaultTest, BackpressuredProducerSurvivesWorkerThrow) {
   ShardedEngine engine(config, nullptr);
   const auto& store = testing::shared_store();
   const auto events = testing::weeks_of(store, 0, 2);
-  for (const auto& event : events) engine.consume(event);
+  for (const auto& event : events) engine.consume_batch({&event, 1});
   EXPECT_THROW(engine.finish(), common::FailpointError);
   // The rethrow must not lose the accounting of what was given up.
   const auto stats = engine.stats();
@@ -137,7 +137,7 @@ TEST_F(ShardedEngineFaultTest, QuarantineModeKeepsMergedStreamFlowing) {
   });
   const auto& store = testing::shared_store();
   const auto events = testing::weeks_of(store, 0, 10);
-  for (const auto& event : events) engine.consume(event);
+  for (const auto& event : events) engine.consume_batch({&event, 1});
   const auto stats = engine.finish();
 
   EXPECT_EQ(stats.shards_quarantined, 1u);
@@ -167,7 +167,7 @@ TEST_F(ShardedEngineFaultTest, FeedDropFailpointIsCountedNotServed) {
   ShardedEngine engine(sharded_config(2), nullptr);
   const auto& store = testing::shared_store();
   const auto events = testing::weeks_of(store, 0, 4);
-  for (const auto& event : events) engine.consume(event);
+  for (const auto& event : events) engine.consume_batch({&event, 1});
   const auto stats = engine.finish();
   EXPECT_GT(stats.records_rejected, 0u);
   EXPECT_EQ(stats.events_after_filtering + stats.records_rejected,

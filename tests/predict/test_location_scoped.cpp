@@ -5,6 +5,7 @@
 #include "predict/outcome_matcher.hpp"
 #include "predict/predictor.hpp"
 #include "support/test_fixtures.hpp"
+#include "support/span_calls.hpp"
 
 namespace dml::predict {
 namespace {
@@ -38,19 +39,19 @@ TEST(LocationScoped, AntecedentMustCompleteWithinOneMidplane) {
   const auto repo = ar_repo();
   Predictor predictor(repo, 300, scoped());
   // The two antecedent items arrive on different midplanes: no match.
-  predictor.observe(ev(1000, 1, false, 0));
-  EXPECT_TRUE(predictor.observe(ev(1010, 2, false, 1)).empty());
+  testing::observe_one(predictor, ev(1000, 1, false, 0));
+  EXPECT_TRUE(testing::observe_one(predictor, ev(1010, 2, false, 1)).empty());
   // A global (unscoped) predictor would have fired here.
   Predictor global(repo, 300);
-  global.observe(ev(2000, 1, false, 0));
-  EXPECT_EQ(global.observe(ev(2010, 2, false, 1)).size(), 1u);
+  testing::observe_one(global, ev(2000, 1, false, 0));
+  EXPECT_EQ(testing::observe_one(global, ev(2010, 2, false, 1)).size(), 1u);
 }
 
 TEST(LocationScoped, WarningCarriesTheMidplane) {
   const auto repo = ar_repo();
   Predictor predictor(repo, 300, scoped());
-  predictor.observe(ev(1000, 1, false, 1));
-  const auto warnings = predictor.observe(ev(1010, 2, false, 1));
+  testing::observe_one(predictor, ev(1000, 1, false, 1));
+  const auto warnings = testing::observe_one(predictor, ev(1010, 2, false, 1));
   ASSERT_EQ(warnings.size(), 1u);
   ASSERT_TRUE(warnings[0].location.has_value());
   EXPECT_EQ(*warnings[0].location, bgl::Location::midplane_scope(0, 1));
@@ -59,8 +60,8 @@ TEST(LocationScoped, WarningCarriesTheMidplane) {
 TEST(LocationScoped, UnscopedWarningHasNoLocation) {
   const auto repo = ar_repo();
   Predictor predictor(repo, 300);
-  predictor.observe(ev(1000, 1, false, 1));
-  const auto warnings = predictor.observe(ev(1010, 2, false, 1));
+  testing::observe_one(predictor, ev(1000, 1, false, 1));
+  const auto warnings = testing::observe_one(predictor, ev(1010, 2, false, 1));
   ASSERT_EQ(warnings.size(), 1u);
   EXPECT_FALSE(warnings[0].location.has_value());
 }
@@ -71,10 +72,10 @@ TEST(LocationScoped, StatisticalCountsPerMidplane) {
       learners::Rule::Body(learners::StatisticalRule{2, 0.9})});
   Predictor predictor(repo, 300, scoped());
   // Two fatals on different midplanes: no scoped trigger.
-  predictor.observe(ev(1000, 50, true, 0));
-  EXPECT_TRUE(predictor.observe(ev(1050, 50, true, 1)).empty());
+  testing::observe_one(predictor, ev(1000, 50, true, 0));
+  EXPECT_TRUE(testing::observe_one(predictor, ev(1050, 50, true, 1)).empty());
   // Second fatal on midplane 1: triggers (2 fatals on midplane 1).
-  const auto warnings = predictor.observe(ev(1100, 50, true, 1));
+  const auto warnings = testing::observe_one(predictor, ev(1100, 50, true, 1));
   ASSERT_EQ(warnings.size(), 1u);
   EXPECT_EQ(*warnings[0].location, bgl::Location::midplane_scope(0, 1));
 }
@@ -129,9 +130,9 @@ TEST(FlatEnsemble, PdFiresEvenWhenPatternMatched) {
   PredictorOptions flat;
   flat.mixture_precedence = false;
   Predictor predictor(repo, 300, flat);
-  predictor.observe(ev(1000, 50, true, 0));
+  testing::observe_one(predictor, ev(1000, 50, true, 0));
   // SR matches AND the PD expert also speaks in the flat ensemble.
-  const auto warnings = predictor.observe(ev(1200, 50, true, 0));
+  const auto warnings = testing::observe_one(predictor, ev(1200, 50, true, 0));
   ASSERT_EQ(warnings.size(), 2u);
 }
 

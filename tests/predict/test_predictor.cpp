@@ -1,4 +1,5 @@
 #include "predict/predictor.hpp"
+#include "support/span_calls.hpp"
 
 #include <gtest/gtest.h>
 
@@ -45,8 +46,8 @@ meta::KnowledgeRepository pd_repo(DurationSec trigger) {
 TEST(Predictor, AssociationRuleFiresWhenAntecedentComplete) {
   const auto repo = ar_repo({1, 2}, 50);
   Predictor predictor(repo, 300);
-  EXPECT_TRUE(predictor.observe(ev(1000, 1, false)).empty());
-  const auto warnings = predictor.observe(ev(1100, 2, false));
+  EXPECT_TRUE(testing::observe_one(predictor, ev(1000, 1, false)).empty());
+  const auto warnings = testing::observe_one(predictor, ev(1100, 2, false));
   ASSERT_EQ(warnings.size(), 1u);
   EXPECT_EQ(warnings[0].issued_at, 1100);
   EXPECT_EQ(warnings[0].deadline, 1400);
@@ -57,48 +58,48 @@ TEST(Predictor, AssociationRuleFiresWhenAntecedentComplete) {
 TEST(Predictor, AssociationRuleRespectsWindowExpiry) {
   const auto repo = ar_repo({1, 2}, 50);
   Predictor predictor(repo, 300);
-  predictor.observe(ev(1000, 1, false));
+  testing::observe_one(predictor, ev(1000, 1, false));
   // Second antecedent item arrives after the first left the window.
-  EXPECT_TRUE(predictor.observe(ev(1400, 2, false)).empty());
+  EXPECT_TRUE(testing::observe_one(predictor, ev(1400, 2, false)).empty());
 }
 
 TEST(Predictor, AssociationRuleIgnoresIncompleteAntecedent) {
   const auto repo = ar_repo({1, 2, 3}, 50);
   Predictor predictor(repo, 300);
-  predictor.observe(ev(1000, 1, false));
-  EXPECT_TRUE(predictor.observe(ev(1010, 2, false)).empty());
+  testing::observe_one(predictor, ev(1000, 1, false));
+  EXPECT_TRUE(testing::observe_one(predictor, ev(1010, 2, false)).empty());
 }
 
 TEST(Predictor, AssociationWarningDeduplicatesWhilePending) {
   const auto repo = ar_repo({1, 2}, 50);
   Predictor predictor(repo, 300);
-  predictor.observe(ev(1000, 1, false));
-  EXPECT_EQ(predictor.observe(ev(1010, 2, false)).size(), 1u);
+  testing::observe_one(predictor, ev(1000, 1, false));
+  EXPECT_EQ(testing::observe_one(predictor, ev(1010, 2, false)).size(), 1u);
   // Re-trigger within the pending window: suppressed.
-  EXPECT_TRUE(predictor.observe(ev(1020, 2, false)).empty());
+  EXPECT_TRUE(testing::observe_one(predictor, ev(1020, 2, false)).empty());
   // After the deadline passes, it may fire again.
-  predictor.observe(ev(1600, 1, false));
-  EXPECT_EQ(predictor.observe(ev(1610, 2, false)).size(), 1u);
+  testing::observe_one(predictor, ev(1600, 1, false));
+  EXPECT_EQ(testing::observe_one(predictor, ev(1610, 2, false)).size(), 1u);
 }
 
 TEST(Predictor, AssociationRearmsWhenPredictedFailureArrives) {
   const auto repo = ar_repo({1, 2}, 50);
   Predictor predictor(repo, 300);
-  predictor.observe(ev(1000, 1, false));
-  EXPECT_EQ(predictor.observe(ev(1010, 2, false)).size(), 1u);
+  testing::observe_one(predictor, ev(1000, 1, false));
+  EXPECT_EQ(testing::observe_one(predictor, ev(1010, 2, false)).size(), 1u);
   // The predicted failure occurs: warning resolved.
-  predictor.observe(ev(1050, 50, true));
+  testing::observe_one(predictor, ev(1050, 50, true));
   // Fresh evidence within the original pending window now re-fires (the
   // earlier antecedent items are still inside the 300 s window).
-  EXPECT_EQ(predictor.observe(ev(1060, 1, false)).size(), 1u);
+  EXPECT_EQ(testing::observe_one(predictor, ev(1060, 1, false)).size(), 1u);
 }
 
 TEST(Predictor, StatisticalRuleCountsFatalsInWindow) {
   const auto repo = sr_repo(3);
   Predictor predictor(repo, 300);
-  EXPECT_TRUE(predictor.observe(ev(1000, 50, true)).empty());
-  EXPECT_TRUE(predictor.observe(ev(1050, 50, true)).empty());
-  const auto warnings = predictor.observe(ev(1100, 50, true));
+  EXPECT_TRUE(testing::observe_one(predictor, ev(1000, 50, true)).empty());
+  EXPECT_TRUE(testing::observe_one(predictor, ev(1050, 50, true)).empty());
+  const auto warnings = testing::observe_one(predictor, ev(1100, 50, true));
   ASSERT_EQ(warnings.size(), 1u);
   EXPECT_FALSE(warnings[0].category.has_value());
   EXPECT_EQ(warnings[0].source, learners::RuleSource::kStatistical);
@@ -107,26 +108,26 @@ TEST(Predictor, StatisticalRuleCountsFatalsInWindow) {
 TEST(Predictor, StatisticalRuleReissuesPerTrigger) {
   const auto repo = sr_repo(2);
   Predictor predictor(repo, 300);
-  predictor.observe(ev(1000, 50, true));
-  EXPECT_EQ(predictor.observe(ev(1050, 50, true)).size(), 1u);
+  testing::observe_one(predictor, ev(1000, 50, true));
+  EXPECT_EQ(testing::observe_one(predictor, ev(1050, 50, true)).size(), 1u);
   // Each further failure is a fresh trigger (cascade tracking).
-  EXPECT_EQ(predictor.observe(ev(1100, 50, true)).size(), 1u);
+  EXPECT_EQ(testing::observe_one(predictor, ev(1100, 50, true)).size(), 1u);
 }
 
 TEST(Predictor, StatisticalWindowSlides) {
   const auto repo = sr_repo(2);
   Predictor predictor(repo, 300);
-  predictor.observe(ev(1000, 50, true));
+  testing::observe_one(predictor, ev(1000, 50, true));
   // 1400 is beyond 1000+300: the old fatal left the window.
-  EXPECT_TRUE(predictor.observe(ev(1400, 50, true)).empty());
+  EXPECT_TRUE(testing::observe_one(predictor, ev(1400, 50, true)).empty());
 }
 
 TEST(Predictor, DistributionRuleFiresAfterTrigger) {
   const auto repo = pd_repo(5000);
   Predictor predictor(repo, 300);
-  predictor.observe(ev(1000, 50, true));  // establishes last-fatal
-  EXPECT_TRUE(predictor.observe(ev(3000, 1, false)).empty());  // elapsed 2000
-  const auto warnings = predictor.observe(ev(7000, 1, false));
+  testing::observe_one(predictor, ev(1000, 50, true));  // establishes last-fatal
+  EXPECT_TRUE(testing::observe_one(predictor, ev(3000, 1, false)).empty());  // elapsed 2000
+  const auto warnings = testing::observe_one(predictor, ev(7000, 1, false));
   ASSERT_EQ(warnings.size(), 1u);
   EXPECT_EQ(warnings[0].source, learners::RuleSource::kDistribution);
   EXPECT_FALSE(warnings[0].category.has_value());
@@ -137,8 +138,8 @@ TEST(Predictor, DistributionRuleFiresAfterTrigger) {
 TEST(Predictor, DistributionRuleSilentBeforeFirstFatal) {
   const auto repo = pd_repo(10);
   Predictor predictor(repo, 300);
-  EXPECT_TRUE(predictor.observe(ev(100000, 1, false)).empty());
-  EXPECT_TRUE(predictor.tick(200000).empty());
+  EXPECT_TRUE(testing::observe_one(predictor, ev(100000, 1, false)).empty());
+  EXPECT_TRUE(testing::tick(predictor, 200000).empty());
 }
 
 TEST(Predictor, TickRunsOnlyDistributionExpert) {
@@ -149,8 +150,8 @@ TEST(Predictor, TickRunsOnlyDistributionExpert) {
   pd.elapsed_trigger = 1000;
   repo.add(learners::Rule{learners::Rule::Body(pd)});
   Predictor predictor(repo, 300);
-  predictor.observe(ev(0, 50, true));
-  const auto warnings = predictor.tick(5000);
+  testing::observe_one(predictor, ev(0, 50, true));
+  const auto warnings = testing::tick(predictor, 5000);
   ASSERT_EQ(warnings.size(), 1u);
   EXPECT_EQ(warnings[0].source, learners::RuleSource::kDistribution);
 }
@@ -160,22 +161,22 @@ TEST(Predictor, DistributionDeduplicatesUntilDeadline) {
   PredictorOptions options;
   options.pd_horizon_factor = 3.0;
   Predictor predictor(repo, 300, options);
-  predictor.observe(ev(0, 50, true));
-  EXPECT_EQ(predictor.tick(2000).size(), 1u);  // deadline 2000+6000
-  EXPECT_TRUE(predictor.tick(4000).empty());
-  EXPECT_TRUE(predictor.tick(7900).empty());
-  EXPECT_EQ(predictor.tick(8100).size(), 1u);
+  testing::observe_one(predictor, ev(0, 50, true));
+  EXPECT_EQ(testing::tick(predictor, 2000).size(), 1u);  // deadline 2000+6000
+  EXPECT_TRUE(testing::tick(predictor, 4000).empty());
+  EXPECT_TRUE(testing::tick(predictor, 7900).empty());
+  EXPECT_EQ(testing::tick(predictor, 8100).size(), 1u);
 }
 
 TEST(Predictor, DistributionRearmsAfterFatal) {
   const auto repo = pd_repo(1000);
   Predictor predictor(repo, 300);
-  predictor.observe(ev(0, 50, true));
-  EXPECT_EQ(predictor.tick(50000).size(), 1u);  // long horizon warning
-  predictor.observe(ev(50100, 50, true));       // failure resolves it
+  testing::observe_one(predictor, ev(0, 50, true));
+  EXPECT_EQ(testing::tick(predictor, 50000).size(), 1u);  // long horizon warning
+  testing::observe_one(predictor, ev(50100, 50, true));       // failure resolves it
   // New cycle: trigger is measured from the fresh failure.
-  EXPECT_TRUE(predictor.tick(50500).empty());   // elapsed 400 < 1000
-  EXPECT_EQ(predictor.tick(51600).size(), 1u);  // elapsed 1500 >= 1000
+  EXPECT_TRUE(testing::tick(predictor, 50500).empty());   // elapsed 400 < 1000
+  EXPECT_EQ(testing::tick(predictor, 51600).size(), 1u);  // elapsed 1500 >= 1000
 }
 
 TEST(Predictor, MixtureOfExpertsSuppressesPdWhenPatternMatched) {
@@ -186,10 +187,10 @@ TEST(Predictor, MixtureOfExpertsSuppressesPdWhenPatternMatched) {
   pd.elapsed_trigger = 10;
   repo.add(learners::Rule{learners::Rule::Body(pd)});
   Predictor predictor(repo, 300);
-  predictor.observe(ev(1000, 50, true));
+  testing::observe_one(predictor, ev(1000, 50, true));
   // Second fatal matches the statistical rule; the PD expert (elapsed
   // 200 >= 10) must stay silent because a pattern rule matched.
-  const auto warnings = predictor.observe(ev(1200, 50, true));
+  const auto warnings = testing::observe_one(predictor, ev(1200, 50, true));
   ASSERT_EQ(warnings.size(), 1u);
   EXPECT_EQ(warnings[0].source, learners::RuleSource::kStatistical);
 }
@@ -199,8 +200,8 @@ TEST(Predictor, PdHorizonFactorZeroPinsDeadlineToWindow) {
   PredictorOptions options;
   options.pd_horizon_factor = 0.0;
   Predictor predictor(repo, 300, options);
-  predictor.observe(ev(0, 50, true));
-  const auto warnings = predictor.tick(5000);
+  testing::observe_one(predictor, ev(0, 50, true));
+  const auto warnings = testing::tick(predictor, 5000);
   ASSERT_EQ(warnings.size(), 1u);
   EXPECT_EQ(warnings[0].deadline, 5300);
 }
@@ -222,16 +223,16 @@ TEST(Predictor, RunInjectsTicks) {
 TEST(Predictor, EmptyRepositoryNeverWarns) {
   meta::KnowledgeRepository repo;
   Predictor predictor(repo, 300);
-  EXPECT_TRUE(predictor.observe(ev(0, 50, true)).empty());
-  EXPECT_TRUE(predictor.observe(ev(10, 1, false)).empty());
-  EXPECT_TRUE(predictor.tick(100).empty());
+  EXPECT_TRUE(testing::observe_one(predictor, ev(0, 50, true)).empty());
+  EXPECT_TRUE(testing::observe_one(predictor, ev(10, 1, false)).empty());
+  EXPECT_TRUE(testing::tick(predictor, 100).empty());
 }
 
 TEST(Predictor, LastFatalTimeTracked) {
   meta::KnowledgeRepository repo;
   Predictor predictor(repo, 300);
   EXPECT_FALSE(predictor.last_fatal_time().has_value());
-  predictor.observe(ev(123, 50, true));
+  testing::observe_one(predictor, ev(123, 50, true));
   EXPECT_EQ(predictor.last_fatal_time(), 123);
 }
 

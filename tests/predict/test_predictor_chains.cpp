@@ -6,6 +6,7 @@
 #include "meta/knowledge_repository.hpp"
 #include "predict/predictor.hpp"
 #include "support/test_fixtures.hpp"
+#include "support/span_calls.hpp"
 
 namespace dml::predict {
 namespace {
@@ -42,9 +43,9 @@ TEST(PredictorChains, FiresWhenStagesArriveInOrderWithinStageWindow) {
   const auto repo = chain_repo({kA, kB}, 600);
   Predictor predictor(repo, testing::kWp);
   // Stage gap 500 > Wp (300): the chain window, not Wp, governs.
-  auto w = predictor.observe(ev(1000, kA));
+  auto w = testing::observe_one(predictor, ev(1000, kA));
   EXPECT_TRUE(w.empty());
-  w = predictor.observe(ev(1500, kB));
+  w = testing::observe_one(predictor, ev(1500, kB));
   ASSERT_EQ(w.size(), 1u);
   EXPECT_EQ(w[0].issued_at, 1500);
   EXPECT_EQ(w[0].deadline, 1500 + 600);  // warning horizon = stage window
@@ -55,19 +56,19 @@ TEST(PredictorChains, FiresWhenStagesArriveInOrderWithinStageWindow) {
 TEST(PredictorChains, StageGapBeyondWindowDoesNotFire) {
   const auto repo = chain_repo({kA, kB}, 600);
   Predictor predictor(repo, testing::kWp);
-  predictor.observe(ev(1000, kA));
-  EXPECT_TRUE(predictor.observe(ev(1601, kB)).empty());
+  testing::observe_one(predictor, ev(1000, kA));
+  EXPECT_TRUE(testing::observe_one(predictor, ev(1601, kB)).empty());
 }
 
 TEST(PredictorChains, OutOfOrderStagesDoNotFire) {
   const auto repo = chain_repo({kA, kB}, 600);
   Predictor predictor(repo, testing::kWp);
-  predictor.observe(ev(1000, kB));
+  testing::observe_one(predictor, ev(1000, kB));
   // kA is not the final stage: its arrival can never complete the chain.
-  EXPECT_TRUE(predictor.observe(ev(1100, kA)).empty());
+  EXPECT_TRUE(testing::observe_one(predictor, ev(1100, kA)).empty());
   // And a final-stage arrival with no prior kA stays silent too.
   Predictor fresh(repo, testing::kWp);
-  EXPECT_TRUE(fresh.observe(ev(1000, kB)).empty());
+  EXPECT_TRUE(testing::observe_one(fresh, ev(1000, kB)).empty());
 }
 
 TEST(PredictorChains, PrefixMatchingIsNotGreedy) {
@@ -77,10 +78,10 @@ TEST(PredictorChains, PrefixMatchingIsNotGreedy) {
   // valid assignment A@85 -> B@92 -> C@101 must still be found.
   const auto repo = chain_repo({kA, kB, kC}, 10);
   Predictor predictor(repo, testing::kWp);
-  predictor.observe(ev(85, kA));
-  predictor.observe(ev(92, kB));
-  predictor.observe(ev(100, kB));
-  const auto w = predictor.observe(ev(101, kC));
+  testing::observe_one(predictor, ev(85, kA));
+  testing::observe_one(predictor, ev(92, kB));
+  testing::observe_one(predictor, ev(100, kB));
+  const auto w = testing::observe_one(predictor, ev(101, kC));
   ASSERT_EQ(w.size(), 1u);
   EXPECT_EQ(w[0].issued_at, 101);
 }
@@ -88,15 +89,15 @@ TEST(PredictorChains, PrefixMatchingIsNotGreedy) {
 TEST(PredictorChains, DeduplicatesWhileActiveAndRearmsAfterFatal) {
   const auto repo = chain_repo({kA, kB}, 600);
   Predictor predictor(repo, testing::kWp);
-  predictor.observe(ev(1000, kA));
-  ASSERT_EQ(predictor.observe(ev(1100, kB)).size(), 1u);
+  testing::observe_one(predictor, ev(1000, kA));
+  ASSERT_EQ(testing::observe_one(predictor, ev(1100, kB)).size(), 1u);
   // Active warning (deadline 1700): a second completion is suppressed.
-  predictor.observe(ev(1200, kA));
-  EXPECT_TRUE(predictor.observe(ev(1300, kB)).empty());
+  testing::observe_one(predictor, ev(1200, kA));
+  EXPECT_TRUE(testing::observe_one(predictor, ev(1300, kB)).empty());
   // The predicted fatal arrives: the rule re-arms.
-  predictor.observe(ev(1400, kFatal, /*fatal=*/true));
-  predictor.observe(ev(1450, kA));
-  EXPECT_EQ(predictor.observe(ev(1500, kB)).size(), 1u);
+  testing::observe_one(predictor, ev(1400, kFatal, /*fatal=*/true));
+  testing::observe_one(predictor, ev(1450, kA));
+  EXPECT_EQ(testing::observe_one(predictor, ev(1500, kB)).size(), 1u);
 }
 
 TEST(PredictorChains, ScopedModeRequiresStagesOnOneMidplane) {
@@ -105,14 +106,14 @@ TEST(PredictorChains, ScopedModeRequiresStagesOnOneMidplane) {
   options.per_scope_state = true;
 
   Predictor split(repo, testing::kWp, options);
-  split.observe(ev(1000, kA, false, 0, 0));
+  testing::observe_one(split, ev(1000, kA, false, 0, 0));
   // Final stage on another midplane: the cross-scope prefix must not
   // count (shard decomposition).
-  EXPECT_TRUE(split.observe(ev(1100, kB, false, 1, 0)).empty());
+  EXPECT_TRUE(testing::observe_one(split, ev(1100, kB, false, 1, 0)).empty());
 
   Predictor local(repo, testing::kWp, options);
-  local.observe(ev(1000, kA, false, 1, 0));
-  const auto w = local.observe(ev(1100, kB, false, 1, 0));
+  testing::observe_one(local, ev(1000, kA, false, 1, 0));
+  const auto w = testing::observe_one(local, ev(1100, kB, false, 1, 0));
   ASSERT_EQ(w.size(), 1u);
   ASSERT_TRUE(w[0].location.has_value());
   EXPECT_EQ(w[0].location->rack(), 1);
@@ -135,12 +136,12 @@ TEST(PredictorChains, SerialAndBatchAreBitIdentical) {
   Predictor serial(repo, testing::kWp);
   std::vector<Warning> serial_warnings;
   for (const auto& event : events) {
-    serial.observe_into(event, serial_warnings);
+    serial.observe({&event, 1}, serial_warnings);
   }
 
   Predictor batch(repo, testing::kWp);
   std::vector<Warning> batch_warnings;
-  batch.observe_batch(events, batch_warnings);
+  batch.observe(events, batch_warnings);
 
   ASSERT_EQ(serial_warnings.size(), batch_warnings.size());
   for (std::size_t i = 0; i < serial_warnings.size(); ++i) {

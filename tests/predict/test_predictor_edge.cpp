@@ -4,6 +4,7 @@
 #include "predict/outcome_matcher.hpp"
 #include "predict/predictor.hpp"
 #include "support/test_fixtures.hpp"
+#include "support/span_calls.hpp"
 
 namespace dml::predict {
 namespace {
@@ -29,9 +30,9 @@ meta::KnowledgeRepository ar_repo(std::vector<CategoryId> antecedent,
 TEST(PredictorEdge, SimultaneousEventsShareTheWindow) {
   const auto repo = ar_repo({1, 2}, 50);
   Predictor predictor(repo, 300);
-  predictor.observe(ev(1000, 1, false));
+  testing::observe_one(predictor, ev(1000, 1, false));
   // Same second: both items present -> fires.
-  EXPECT_EQ(predictor.observe(ev(1000, 2, false)).size(), 1u);
+  EXPECT_EQ(testing::observe_one(predictor, ev(1000, 2, false)).size(), 1u);
 }
 
 TEST(PredictorEdge, AntecedentItemRepeatedInOneSecond) {
@@ -40,15 +41,15 @@ TEST(PredictorEdge, AntecedentItemRepeatedInOneSecond) {
   options.deduplicate_warnings = false;
   Predictor predictor(repo, 300, options);
   // Without dedup, every occurrence triggers.
-  EXPECT_EQ(predictor.observe(ev(1000, 1, false)).size(), 1u);
-  EXPECT_EQ(predictor.observe(ev(1000, 1, false)).size(), 1u);
+  EXPECT_EQ(testing::observe_one(predictor, ev(1000, 1, false)).size(), 1u);
+  EXPECT_EQ(testing::observe_one(predictor, ev(1000, 1, false)).size(), 1u);
 }
 
 TEST(PredictorEdge, TinyWindowExpiresWithinSeconds) {
   const auto repo = ar_repo({1, 2}, 50);
   Predictor predictor(repo, 1);
-  predictor.observe(ev(1000, 1, false));
-  EXPECT_TRUE(predictor.observe(ev(1002, 2, false)).empty());
+  testing::observe_one(predictor, ev(1000, 1, false));
+  EXPECT_TRUE(testing::observe_one(predictor, ev(1002, 2, false)).empty());
 }
 
 TEST(PredictorEdge, HugeStatisticalKNeverFires) {
@@ -57,7 +58,7 @@ TEST(PredictorEdge, HugeStatisticalKNeverFires) {
       learners::Rule::Body(learners::StatisticalRule{1000, 0.9})});
   Predictor predictor(repo, 300);
   for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(predictor.observe(ev(1000 + i, 50, true)).empty());
+    EXPECT_TRUE(testing::observe_one(predictor, ev(1000 + i, 50, true)).empty());
   }
 }
 
@@ -93,8 +94,8 @@ TEST(PredictorEdge, AllRuleTypesCoexist) {
 TEST(PredictorEdge, TickBeforeAnyEventIsSafe) {
   const auto repo = ar_repo({1}, 50);
   Predictor predictor(repo, 300);
-  EXPECT_TRUE(predictor.tick(0).empty());
-  EXPECT_TRUE(predictor.tick(1000000).empty());
+  EXPECT_TRUE(testing::tick(predictor, 0).empty());
+  EXPECT_TRUE(testing::tick(predictor, 1000000).empty());
 }
 
 TEST(PredictorEdge, RunWithoutTicksEqualsManualObserveLoop) {
@@ -108,7 +109,7 @@ TEST(PredictorEdge, RunWithoutTicksEqualsManualObserveLoop) {
   Predictor b(repo, testing::kWp);
   std::vector<Warning> manual;
   for (const auto& event : events) {
-    auto warnings = b.observe(event);
+    auto warnings = testing::observe_one(b, event);
     manual.insert(manual.end(), warnings.begin(), warnings.end());
   }
   ASSERT_EQ(via_run.size(), manual.size());

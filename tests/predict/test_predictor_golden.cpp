@@ -15,6 +15,7 @@
 #include "common/rng.hpp"
 #include "reference_impl.hpp"
 #include "support/test_fixtures.hpp"
+#include "support/span_calls.hpp"
 
 namespace dml::predict {
 namespace {
@@ -74,9 +75,9 @@ TEST(PredictorGolden, ObserveIntoAppendsWithoutClearing) {
   std::vector<Warning> accumulated;
   std::vector<Warning> collected;
   for (const auto& event : events) {
-    const auto warnings = per_call.observe(event);
+    const auto warnings = testing::observe_one(per_call, event);
     collected.insert(collected.end(), warnings.begin(), warnings.end());
-    sink.observe_into(event, accumulated);  // never cleared between events
+    sink.observe({&event, 1}, accumulated);  // never cleared between events
   }
   expect_identical_streams(accumulated, collected, "sink-vs-per-call");
 }

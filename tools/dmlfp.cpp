@@ -55,6 +55,58 @@ namespace {
 
 using namespace dml;
 using tools::Flags;
+using tools::FlagSpec;
+constexpr auto kInt = FlagSpec::kInt;
+constexpr auto kReal = FlagSpec::kReal;
+
+/// Engine flags `train` and `predict` take (the rest of the table applies
+/// to full runs only).
+constexpr std::string_view kTrainEngineFlags[] = {"window", "no-reviser",
+                                                  "correlation"};
+constexpr std::string_view kPredictEngineFlags[] = {"window"};
+
+constexpr FlagSpec kWeekRange[] = {{"from-week", kInt, 0, 10000},
+                                   {"to-week", kInt, 0, 10000}};
+constexpr FlagSpec kGenerateFlags[] = {
+    {"machine"}, {"format"}, {"out"}, {"weeks", kInt, 1, 520},
+    {"seed", kInt, 0, tools::kMaxCount}, {"scale", kReal, 1e-6, 1000},
+    {"chain-coverage", kReal, 0, 1}, {"chain-gap", kInt, 1, 604800},
+    {"chain-hop", kReal, 0, 1}, {"chain-final-lead", kInt, 0, 604800}};
+constexpr FlagSpec kSegmentBytes[] = {{"segment-bytes", kInt, 4096, 1 << 30}};
+constexpr FlagSpec kIngestFlags[] = {
+    {"log"}, {"out"}, {"sync-every", kInt, 0, tools::kMaxCount},
+    {"threshold", kInt, 0, 86400}};
+constexpr FlagSpec kRunFlags[] = {
+    {"log"}, {"repo"}, {"config"}, {"report"}, {"warnings"},
+    {"profile", FlagSpec::kSwitch}, {"threads", kInt, 1, tools::kMaxThreads},
+    {"resume-week", kInt, 0, 10000}};
+
+/// The flags each command accepts; anything else is an error.
+std::vector<FlagSpec> command_flags(std::string_view command) {
+  using tools::flag_list;
+  if (command == "generate") return flag_list({kGenerateFlags});
+  if (command == "summarize") return {{"log"}};
+  if (command == "verify") return {{"repo"}};
+  if (command == "ingest") {
+    return flag_list({kIngestFlags, kSegmentBytes, tools::kFailpointFlags});
+  }
+  if (command == "compact") {
+    return flag_list({std::vector<FlagSpec>{{"repo"}, {"out"}}, kSegmentBytes});
+  }
+  if (command == "train") {
+    return flag_list({std::vector<FlagSpec>{{"log"}, {"out"}}, kWeekRange,
+                      tools::engine_flags(kTrainEngineFlags)});
+  }
+  if (command == "predict") {
+    return flag_list({std::vector<FlagSpec>{{"log"}, {"rules"}}, kWeekRange,
+                      tools::engine_flags(kPredictEngineFlags)});
+  }
+  if (command == "run") {
+    return flag_list(
+        {kRunFlags, tools::engine_flags(), tools::kFailpointFlags});
+  }
+  return {};
+}
 
 int usage() {
   std::fprintf(
@@ -82,33 +134,33 @@ int usage() {
       "            repository (CRCs, time order, sidecar indexes)\n"
       "  compact   --repo DIR --out DIR [--segment-bytes N]  rewrite into\n"
       "            full segments with fresh indexes\n"
-      "  train     --log FILE [--from-week A] [--to-week B] [--window 300]\n"
-      "            [--no-reviser] [--correlation] --out RULES  mine + revise\n"
-      "            a rule set (--correlation adds the event-correlation\n"
-      "            chain learner)\n"
+      "  train     --log FILE [--from-week A] [--to-week B] --out RULES\n"
+      "            mine + revise a rule set; engine flags:\n"
+      "%s"
       "  predict   --log FILE --rules RULES [--from-week A] [--to-week B]\n"
-      "            [--window 300]                  replay + evaluate\n"
-      "  run       --log FILE | --repo DIR [--config FILE]\n"
-      "            [--mode sliding|whole|static]\n"
-      "            [--training-weeks 26] [--retrain-weeks 4] [--window 300]\n"
-      "            [--no-reviser] [--report FILE]  full dynamic driver\n"
-      "            [--correlation | --no-correlation]  enable/disable the\n"
-      "            correlation-chain learner (overrides --config)\n"
-      "            [--correlation-window N]  graph adjacency window (s)\n"
-      "            [--correlation-min-edge X]  min per-edge confidence\n"
-      "            [--threads N]  N-shard concurrent serving replay\n"
-      "            [--resume-week N]  restart: rebuild training state from\n"
+      "            replay + evaluate; engine flags:\n"
+      "%s"
+      "  run       --log FILE | --repo DIR [--config FILE]  full dynamic\n"
+      "            driver; engine flags (override --config; every key is\n"
+      "            listed by config-template):\n"
+      "%s"
+      "            --report FILE  markdown report\n"
+      "            --threads N  N-shard concurrent serving replay (1..%ld)\n"
+      "            --resume-week N  restart: rebuild training state from\n"
       "            the repository, serve only from that week on\n"
-      "            [--warnings FILE]  dump the warning stream (one per\n"
+      "            --warnings FILE  dump the warning stream (one per\n"
       "            line) for byte-identity diffs across data planes\n"
-      "            [--profile]  print per-stage wall/CPU time and\n"
+      "            --profile  print per-stage wall/CPU time and\n"
       "            events/s (parse, preprocess, log I/O, retrain builds,\n"
       "            serving)\n"
-      "            [--failpoint NAME=SPEC[,NAME=SPEC...]]  arm fault\n"
+      "            --failpoint NAME=SPEC[,NAME=SPEC...]  arm fault\n"
       "            injection; SPEC is throw|delay|drop|corrupt|off with\n"
       "            optional :p=PROB :ms=MILLIS :after=N :max=N\n"
-      "            [--failpoint-seed S]  RNG seed for probabilistic faults\n"
-      "  config-template                           print a config file\n");
+      "            --failpoint-seed S  RNG seed for probabilistic faults\n"
+      "  config-template                           print a config file\n",
+      online::driver_flags_usage("            ", kTrainEngineFlags).c_str(),
+      online::driver_flags_usage("            ", kPredictEngineFlags).c_str(),
+      online::driver_flags_usage("            ").c_str(), tools::kMaxThreads);
   return 2;
 }
 
@@ -127,51 +179,6 @@ struct StageTimes {
   /// counted.
   std::uint64_t units = 0;
 };
-
-/// One row of the --profile table; cpu < 0 means "not measured", units
-/// of 0 means "no event rate for this stage".
-void add_profile_row(online::TablePrinter& table, const char* stage,
-                     double wall, double cpu, std::uint64_t units = 0) {
-  table.add_row({stage, online::TablePrinter::fmt(wall, 4),
-                 cpu < 0 ? "-" : online::TablePrinter::fmt(cpu, 4),
-                 units > 0 && wall > 0
-                     ? online::TablePrinter::fmt(
-                           static_cast<double>(units) / wall, 0)
-                     : "-"});
-}
-
-/// The retrain-build rows of the --profile table: the aggregate build
-/// time, then its per-learner decomposition (summed over every adopted
-/// snapshot) plus ensemble assembly and revision — which base learner
-/// the retrain budget actually goes to.
-void add_retrain_build_rows(online::TablePrinter& table,
-                            const online::OnlineEngine::SessionStats& stats) {
-  add_profile_row(table, "retrain-builds", stats.retrain_build_seconds, -1.0);
-  const meta::TrainTimes& t = stats.retrain_train_times;
-  add_profile_row(table, "  association", t.association_seconds, -1.0);
-  add_profile_row(table, "  correlation", t.correlation_seconds, -1.0);
-  add_profile_row(table, "  statistical", t.statistical_seconds, -1.0);
-  add_profile_row(table, "  distribution", t.distribution_seconds, -1.0);
-  add_profile_row(table, "  decision-tree", t.decision_tree_seconds, -1.0);
-  add_profile_row(table, "  neural-net", t.neural_net_seconds, -1.0);
-  add_profile_row(table, "  ensemble", t.ensemble_seconds, -1.0);
-  add_profile_row(table, "  revision", stats.retrain_revise_seconds, -1.0);
-}
-
-/// The log-I/O rows of the --profile table — mmap time vs record-decode
-/// time; both zero for in-memory replays.
-void add_log_io_rows(online::TablePrinter& table,
-                     const storage::IoStats& io) {
-  add_profile_row(table, "log-mmap", io.map_seconds, -1.0);
-  add_profile_row(table, "log-read", io.read_seconds, -1.0);
-}
-
-void print_log_io_summary(const storage::IoStats& io) {
-  if (io.bytes_read == 0 && io.segments_opened == 0) return;
-  std::printf("log-io: %.1f MB read, %llu segment open(s)\n",
-              static_cast<double>(io.bytes_read) / (1 << 20),
-              static_cast<unsigned long long>(io.segments_opened));
-}
 
 /// Raw-record source over either log format, detected from the stream
 /// magic ("DMLRAW1\0" = binary, anything else = text).
@@ -228,12 +235,79 @@ void report_skipped(const logio::ReadStats& read_stats,
   }
 }
 
+/// Accumulates wall and process-CPU time into stages between laps.
+class StageClock {
+ public:
+  /// Adds the time since the previous lap (or construction) to `stage`.
+  void lap(StageTimes& stage) {
+    const auto wall = std::chrono::steady_clock::now();
+    const double cpu = process_cpu_seconds();
+    stage.wall += std::chrono::duration<double>(wall - wall_).count();
+    stage.cpu += cpu - cpu_;
+    wall_ = wall;
+    cpu_ = cpu;
+  }
+
+ private:
+  std::chrono::steady_clock::time_point wall_ =
+      std::chrono::steady_clock::now();
+  double cpu_ = process_cpu_seconds();
+};
+
+/// Prints the --profile table: the load's parse and preprocess rows,
+/// log I/O (mmap vs record-decode time; zero for in-memory replays), the
+/// retrain builds with their per-learner decomposition (summed over every
+/// adopted snapshot — which base learner the retrain budget goes to),
+/// serving, and the replay total.
+void print_profile(const StageTimes& parse, const StageTimes& preprocess,
+                   const storage::IoStats& io,
+                   const online::OnlineEngine::SessionStats& stats,
+                   const StageTimes& replay) {
+  online::TablePrinter table({"stage", "wall-s", "cpu-s", "events/s"});
+  // cpu < 0 means "not measured"; units of 0 means "no event rate".
+  const auto row = [&](const char* stage, double wall, double cpu = -1.0,
+                       std::uint64_t units = 0) {
+    table.add_row({stage, online::TablePrinter::fmt(wall, 4),
+                   cpu < 0 ? "-" : online::TablePrinter::fmt(cpu, 4),
+                   units > 0 && wall > 0
+                       ? online::TablePrinter::fmt(
+                             static_cast<double>(units) / wall, 0)
+                       : "-"});
+  };
+  row("parse", parse.wall, parse.cpu, parse.units);
+  row("preprocess", preprocess.wall, preprocess.cpu, preprocess.units);
+  row("log-mmap", io.map_seconds);
+  row("log-read", io.read_seconds);
+  row("retrain-builds", stats.retrain_build_seconds);
+  const meta::TrainTimes& t = stats.retrain_train_times;
+  row("  association", t.association_seconds);
+  row("  correlation", t.correlation_seconds);
+  row("  statistical", t.statistical_seconds);
+  row("  distribution", t.distribution_seconds);
+  row("  decision-tree", t.decision_tree_seconds);
+  row("  neural-net", t.neural_net_seconds);
+  row("  ensemble", t.ensemble_seconds);
+  row("  revision", stats.retrain_revise_seconds);
+  row("serving", stats.serving_seconds, -1.0, stats.events_after_filtering);
+  row("replay-total", replay.wall, replay.cpu, stats.records_consumed);
+  table.print(std::cout);
+  if (io.bytes_read > 0 || io.segments_opened > 0) {
+    std::printf("log-io: %.1f MB read, %llu segment open(s)\n",
+                static_cast<double>(io.bytes_read) / (1 << 20),
+                static_cast<unsigned long long>(io.segments_opened));
+  }
+}
+
+/// Parses and preprocesses a whole log into an event store.  Records are
+/// read in chunks, and parse (bytes -> records) and preprocess
+/// (categorize + compress) are timed once per chunk, so the --profile
+/// rows cost four clock reads per chunk rather than per record.
 std::optional<logio::EventStore> load_events(const std::string& path,
                                              DurationSec threshold,
                                              StageTimes* parse_times = nullptr,
                                              StageTimes* preprocess_times =
                                                  nullptr) {
-  using Clock = std::chrono::steady_clock;
+  constexpr std::size_t kChunk = 4096;
   std::ifstream file(path, std::ios::binary);
   if (!file) {
     std::fprintf(stderr, "dmlfp: cannot open %s\n", path.c_str());
@@ -243,29 +317,29 @@ std::optional<logio::EventStore> load_events(const std::string& path,
   // Lenient mode: a malformed record is counted and skipped (with a
   // bounded diagnostic list), not fatal — a real log tail may be torn.
   AnyRecordReader reader(file, logio::RecordReader::OnError::kSkip);
-  if (parse_times != nullptr && preprocess_times != nullptr) {
-    // Profiled load: parse (bytes -> records) and preprocess (categorize
-    // + compress) are interleaved per record, so each call is clocked.
-    for (;;) {
-      auto wall0 = Clock::now();
-      auto cpu0 = process_cpu_seconds();
+  StageTimes parse;
+  StageTimes prep;
+  StageClock clock;
+  std::vector<bgl::RasRecord> chunk;
+  chunk.reserve(kChunk);
+  for (bool more = true; more;) {
+    chunk.clear();
+    while (chunk.size() < kChunk) {
       auto record = reader.next();
-      parse_times->wall +=
-          std::chrono::duration<double>(Clock::now() - wall0).count();
-      parse_times->cpu += process_cpu_seconds() - cpu0;
-      if (!record) break;
-      ++parse_times->units;
-      wall0 = Clock::now();
-      cpu0 = process_cpu_seconds();
-      pipeline.consume(*record);
-      preprocess_times->wall +=
-          std::chrono::duration<double>(Clock::now() - wall0).count();
-      preprocess_times->cpu += process_cpu_seconds() - cpu0;
-      ++preprocess_times->units;
+      if (!record) {
+        more = false;
+        break;
+      }
+      chunk.push_back(std::move(*record));
     }
-  } else {
-    while (auto record = reader.next()) pipeline.consume(*record);
+    clock.lap(parse);
+    for (const auto& record : chunk) pipeline.consume(record);
+    clock.lap(prep);
+    parse.units += chunk.size();
+    prep.units += chunk.size();
   }
+  if (parse_times != nullptr) *parse_times = parse;
+  if (preprocess_times != nullptr) *preprocess_times = prep;
   report_skipped(reader.read_stats(), path);
   auto store = pipeline.take_store();
   store.set_load_stats(reader.read_stats());
@@ -552,6 +626,17 @@ int cmd_compact(const Flags& flags) {
   return 0;
 }
 
+/// [--from-week, --to-week) of the log as event times; the span runs
+/// from the log's start and to its end by default.
+std::pair<TimeSec, TimeSec> week_span(const Flags& flags,
+                                      const logio::EventStore& store) {
+  const TimeSec origin = store.first_time();
+  return {origin + flags.get_long("from-week", 0) * kSecondsPerWeek,
+          flags.has("to-week")
+              ? origin + flags.get_long("to-week", 0) * kSecondsPerWeek
+              : store.last_time() + 1};
+}
+
 int cmd_train(const Flags& flags) {
   const auto log_path = flags.get("log");
   const auto out_path = flags.get("out");
@@ -559,31 +644,26 @@ int cmd_train(const Flags& flags) {
     std::fprintf(stderr, "dmlfp train: --log and --out are required\n");
     return 2;
   }
-  const DurationSec window = flags.get_long("window", 300);
+  const auto config = tools::driver_config_from_flags(flags, "dmlfp train");
+  if (!config) return 2;
+  const DurationSec window = config->prediction_window;
   const auto store = load_events(*log_path, 300);
   if (!store) return 1;
 
-  const TimeSec origin = store->first_time();
-  const TimeSec from =
-      origin + flags.get_long("from-week", 0) * kSecondsPerWeek;
-  const TimeSec to =
-      flags.has("to-week")
-          ? origin + flags.get_long("to-week", 0) * kSecondsPerWeek
-          : store->last_time() + 1;
+  const auto [from, to] = week_span(flags, *store);
   const auto training = store->between(from, to);
   if (training.empty()) {
     std::fprintf(stderr, "dmlfp train: empty training span\n");
     return 1;
   }
 
-  meta::MetaLearnerConfig learner_config;
-  if (flags.has("correlation")) learner_config.enable_correlation = true;
-  meta::MetaLearner learner{learner_config};
+  meta::MetaLearner learner{config->learner};
   meta::TrainTimes times;
   auto repository = learner.learn(training, window, &times);
   std::size_t removed = 0;
-  if (!flags.has("no-reviser")) {
-    removed = predict::revise(repository, training, window).removed;
+  if (config->use_reviser) {
+    removed =
+        predict::revise(repository, training, window, config->reviser).removed;
   }
   std::ofstream out(*out_path);
   if (!out) {
@@ -611,7 +691,9 @@ int cmd_predict(const Flags& flags) {
     std::fprintf(stderr, "dmlfp predict: --log and --rules are required\n");
     return 2;
   }
-  const DurationSec window = flags.get_long("window", 300);
+  const auto config = tools::driver_config_from_flags(flags, "dmlfp predict");
+  if (!config) return 2;
+  const DurationSec window = config->prediction_window;
   const auto store = load_events(*log_path, 300);
   if (!store) return 1;
   std::ifstream rules_file(*rules_path);
@@ -627,18 +709,11 @@ int cmd_predict(const Flags& flags) {
     return 1;
   }
 
-  const TimeSec origin = store->first_time();
-  const TimeSec from =
-      origin + flags.get_long("from-week", 0) * kSecondsPerWeek;
-  const TimeSec to =
-      flags.has("to-week")
-          ? origin + flags.get_long("to-week", 0) * kSecondsPerWeek
-          : store->last_time() + 1;
+  const auto [from, to] = week_span(flags, *store);
 
   predict::Predictor predictor(repository, window);
-  for (const auto& event : store->between(from - window, from)) {
-    predictor.observe(event);
-  }
+  std::vector<predict::Warning> warm_up;  // discarded
+  predictor.observe(store->between(from - window, from), warm_up);
   const auto test_events = store->between(from, to);
   const auto warnings = predictor.run(test_events, window);
   const auto evaluation =
@@ -656,22 +731,16 @@ int cmd_predict(const Flags& flags) {
 /// by midplane) instead of the interval-by-interval batch driver, then
 /// score the merged warning stream over the post-training span.
 int run_sharded(const online::DriverConfig& config,
-                const storage::EventRepository& repo, long threads,
-                bool profile, const StageTimes& parse_times,
+                const online::ShardedEngineConfig& sharded,
+                const storage::EventRepository& repo, bool profile,
+                const StageTimes& parse_times,
                 const StageTimes& preprocess_times,
                 const std::optional<std::string>& warnings_path) {
-  using Clock = std::chrono::steady_clock;
   const DurationSec initial_span =
       static_cast<DurationSec>(config.training_weeks) * kSecondsPerWeek;
   const DurationSec retrain_span =
       static_cast<DurationSec>(config.retrain_weeks) * kSecondsPerWeek;
   const storage::IoStats io_before = repo.io_stats();
-
-  // The same mapping dmlfpd uses for its per-stream engines, so the
-  // daemon's warning stream is comparable to this path by construction.
-  const online::ShardedEngineConfig sharded =
-      online::sharded_config_from_driver(
-          config, static_cast<std::size_t>(threads), profile);
 
   // --resume-week: serve only from the first retrain boundary at or
   // after the requested week; everything earlier is replayed silently
@@ -687,44 +756,22 @@ int run_sharded(const online::DriverConfig& config,
   }
 
   std::vector<predict::Warning> warnings;
-  const auto wall_start = Clock::now();
-  const double cpu_start = process_cpu_seconds();
+  StageClock clock;
   online::ShardedEngine engine(
       sharded, [&](const predict::Warning& w) { warnings.push_back(w); });
   if (serve_from > origin) engine.cold_start(repo, serve_from);
-  {
-    auto cursor = repo.scan(serve_from, repo.last_time() + 1);
-    std::vector<bgl::Event> batch;
-    while (true) {
-      batch.clear();
-      if (cursor->next(batch, storage::kDefaultScanBatch) == 0) break;
-      engine.consume_batch(batch);
-    }
-  }
+  storage::for_each_batch(repo, serve_from, repo.last_time() + 1,
+                          [&](auto batch) { engine.consume_batch(batch); });
   const auto stats = engine.finish();
-  const double wall_seconds =
-      std::chrono::duration<double>(Clock::now() - wall_start).count();
-  const double cpu_seconds = process_cpu_seconds() - cpu_start;
-  const storage::IoStats io = repo.io_stats() - io_before;
+  StageTimes replay;
+  clock.lap(replay);
 
   if (profile) {
     // Serving is the sum of every shard worker's busy time (may exceed
     // the run's wall time when shards overlap); retrain builds run on
     // the shared pool, overlapped with serving.
-    online::TablePrinter profile_table(
-        {"stage", "wall-s", "cpu-s", "events/s"});
-    add_profile_row(profile_table, "parse", parse_times.wall,
-                    parse_times.cpu, parse_times.units);
-    add_profile_row(profile_table, "preprocess", preprocess_times.wall,
-                    preprocess_times.cpu, preprocess_times.units);
-    add_log_io_rows(profile_table, io);
-    add_retrain_build_rows(profile_table, stats);
-    add_profile_row(profile_table, "serving", stats.serving_seconds, -1.0,
-                    stats.events_after_filtering);
-    add_profile_row(profile_table, "replay-total", wall_seconds,
-                    cpu_seconds, stats.records_consumed);
-    profile_table.print(std::cout);
-    print_log_io_summary(io);
+    print_profile(parse_times, preprocess_times,
+                  repo.io_stats() - io_before, stats, replay);
   }
 
   online::TablePrinter table({"shard", "events", "warnings", "busy-s",
@@ -759,9 +806,9 @@ int run_sharded(const online::DriverConfig& config,
       engine.shard_count(),
       static_cast<unsigned long long>(stats.retrainings),
       static_cast<unsigned long long>(stats.events_after_filtering),
-      wall_seconds,
-      wall_seconds > 0
-          ? static_cast<double>(stats.events_after_filtering) / wall_seconds
+      replay.wall,
+      replay.wall > 0
+          ? static_cast<double>(stats.events_after_filtering) / replay.wall
           : 0.0);
   std::printf("overall: precision %.3f, recall %.3f\n",
               stats::precision(evaluation.overall),
@@ -792,15 +839,32 @@ int cmd_run(const Flags& flags) {
   // loading as well as the run itself.
   if (!tools::arm_failpoints(flags, "dmlfp run")) return 2;
   const bool profile = flags.has("profile");
+  auto parsed = tools::driver_config_from_flags(flags, "dmlfp run");
+  if (!parsed) return 2;
+  online::DriverConfig config = std::move(*parsed);
+  config.resume_week = static_cast<int>(flags.get_long("resume-week", 0));
+  config.profile = profile;
+  const long threads = flags.get_long("threads", 1);
+  std::optional<online::ShardedEngineConfig> sharded;
+  if (threads > 1) {
+    // The same mapping dmlfpd uses for its per-stream engines, so the
+    // daemon's warning stream is comparable to this path by construction.
+    try {
+      sharded = online::sharded_config_from_driver(
+          config, static_cast<std::size_t>(threads), profile);
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "dmlfp run: --threads %ld: %s\n", threads,
+                   e.what());
+      return 2;
+    }
+  }
   StageTimes parse_times;
   StageTimes preprocess_times;
   std::optional<logio::EventStore> store;
   std::optional<storage::OnDiskRepository> disk;
   const storage::EventRepository* repo = nullptr;
   if (log_path) {
-    store = profile
-                ? load_events(*log_path, 300, &parse_times, &preprocess_times)
-                : load_events(*log_path, 300);
+    store = load_events(*log_path, 300, &parse_times, &preprocess_times);
     if (!store) return 1;
     repo = &*store;
   } else {
@@ -826,57 +890,9 @@ int cmd_run(const Flags& flags) {
     repo = &*disk;
   }
 
-  online::DriverConfig config;
-  // A --config file provides the base; explicit flags override it.
-  if (const auto config_path = flags.get("config")) {
-    std::ifstream file(*config_path);
-    if (!file) {
-      std::fprintf(stderr, "dmlfp: cannot open %s\n", config_path->c_str());
-      return 1;
-    }
-    auto parsed = online::parse_driver_config(file);
-    if (const auto* error = std::get_if<online::ConfigError>(&parsed)) {
-      std::fprintf(stderr, "dmlfp: %s:%zu: %s\n", config_path->c_str(),
-                   error->line, error->message.c_str());
-      return 1;
-    }
-    config = std::get<online::DriverConfig>(parsed);
-  }
-  config.prediction_window =
-      flags.get_long("window", config.prediction_window);
-  config.clock_tick = config.prediction_window;
-  config.training_weeks = static_cast<int>(
-      flags.get_long("training-weeks", config.training_weeks));
-  config.retrain_weeks =
-      static_cast<int>(flags.get_long("retrain-weeks", config.retrain_weeks));
-  config.resume_week =
-      static_cast<int>(flags.get_long("resume-week", config.resume_week));
-  if (flags.has("no-reviser")) config.use_reviser = false;
-  if (flags.has("correlation")) config.learner.enable_correlation = true;
-  if (flags.has("no-correlation")) config.learner.enable_correlation = false;
-  config.learner.correlation.graph.window = flags.get_long(
-      "correlation-window", config.learner.correlation.graph.window);
-  config.learner.correlation.miner.min_edge_confidence =
-      flags.get_double("correlation-min-edge",
-                       config.learner.correlation.miner.min_edge_confidence);
-  const std::string mode =
-      flags.get_or("mode", std::string(to_string(config.mode)));
-  if (mode == "sliding") {
-    config.mode = online::TrainingMode::kSlidingWindow;
-  } else if (mode == "whole") {
-    config.mode = online::TrainingMode::kWholeHistory;
-  } else if (mode == "static") {
-    config.mode = online::TrainingMode::kStatic;
-  } else {
-    std::fprintf(stderr, "dmlfp run: unknown mode '%s'\n", mode.c_str());
-    return 2;
-  }
-
-  config.profile = profile;
   const auto warnings_path = flags.get("warnings");
-  const long threads = flags.get_long("threads", 1);
-  if (threads > 1) {
-    return run_sharded(config, *repo, threads, profile, parse_times,
+  if (sharded) {
+    return run_sharded(config, *sharded, *repo, profile, parse_times,
                        preprocess_times, warnings_path);
   }
   std::vector<predict::Warning> warning_log;
@@ -886,34 +902,18 @@ int cmd_run(const Flags& flags) {
     };
   }
 
-  using Clock = std::chrono::steady_clock;
-  const auto wall_start = Clock::now();
-  const double cpu_start = process_cpu_seconds();
+  StageClock clock;
   const auto result = online::DynamicDriver(config).run(*repo);
   if (profile) {
-    const double wall_seconds =
-        std::chrono::duration<double>(Clock::now() - wall_start).count();
-    const double cpu_seconds = process_cpu_seconds() - cpu_start;
+    StageTimes replay;
+    clock.lap(replay);
+    const auto& stats = result.engine_stats;
     storage::IoStats io;
-    io.bytes_read = result.engine_stats.log_bytes_read;
-    io.segments_opened = result.engine_stats.log_segments_opened;
-    io.map_seconds = result.engine_stats.log_map_seconds;
-    io.read_seconds = result.engine_stats.log_read_seconds;
-    online::TablePrinter profile_table(
-        {"stage", "wall-s", "cpu-s", "events/s"});
-    add_profile_row(profile_table, "parse", parse_times.wall,
-                    parse_times.cpu, parse_times.units);
-    add_profile_row(profile_table, "preprocess", preprocess_times.wall,
-                    preprocess_times.cpu, preprocess_times.units);
-    add_log_io_rows(profile_table, io);
-    add_retrain_build_rows(profile_table, result.engine_stats);
-    add_profile_row(profile_table, "serving",
-                    result.engine_stats.serving_seconds, -1.0,
-                    result.engine_stats.events_after_filtering);
-    add_profile_row(profile_table, "replay-total", wall_seconds,
-                    cpu_seconds, result.engine_stats.records_consumed);
-    profile_table.print(std::cout);
-    print_log_io_summary(io);
+    io.bytes_read = stats.log_bytes_read;
+    io.segments_opened = stats.log_segments_opened;
+    io.map_seconds = stats.log_map_seconds;
+    io.read_seconds = stats.log_read_seconds;
+    print_profile(parse_times, preprocess_times, io, stats, replay);
   }
   if (const auto report_path = flags.get("report")) {
     std::ofstream report(*report_path);
@@ -961,9 +961,11 @@ int cmd_run(const Flags& flags) {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
-  const Flags flags(argc, argv, 2);
+  const auto accepted = command_flags(command);
+  const Flags flags(argc, argv, 2, accepted);
   if (!flags.error().empty()) {
-    std::fprintf(stderr, "dmlfp: %s\n", flags.error().c_str());
+    std::fprintf(stderr, "dmlfp %s: %s\n", command.c_str(),
+                 flags.error().c_str());
     return 2;
   }
   if (flags.has("help")) return usage();

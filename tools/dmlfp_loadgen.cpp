@@ -54,10 +54,11 @@ int usage() {
       "  --host ADDR --port N target an external dmlfpd instead of the\n"
       "                       in-process daemon\n"
       "  --events N           throughput phase: total events (default 4M)\n"
-      "  --streams M          throughput phase: parallel streams (default 4)\n"
+      "  --streams M          throughput phase: parallel streams, 1..256\n"
+      "                       (default 4)\n"
       "  --batch N            events per INGEST frame (default 2048)\n"
-      "  --shards N           in-process engine shards (default 2)\n"
-      "  --reactors N         in-process reactor threads (default 2)\n"
+      "  --shards N           in-process engine shards, 0..256 (default 2)\n"
+      "  --reactors N         in-process reactor threads, 1..64 (default 2)\n"
       "  --seed S             corpus seed for the latency phase\n");
   return 2;
 }
@@ -298,10 +299,20 @@ bool write_report(const std::string& path, bool quick,
   return std::fclose(file) == 0;
 }
 
+using tools::FlagSpec;
+
+constexpr auto kInt = FlagSpec::kInt;
+constexpr FlagSpec kLoadgenFlags[] = {
+    {"quick", FlagSpec::kSwitch}, {"out"}, {"host"}, {"port", kInt, 1, 65535},
+    {"events", kInt, 1, tools::kMaxCount},
+    {"streams", kInt, 1, tools::kMaxThreads}, {"batch", kInt, 1, 1 << 20},
+    {"shards", kInt, 0, tools::kMaxThreads}, {"reactors", kInt, 1, 64},
+    {"seed", kInt, 0, tools::kMaxCount}};
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags(argc, argv, 1);
+  const Flags flags(argc, argv, 1, kLoadgenFlags);
   if (!flags.error().empty()) {
     std::fprintf(stderr, "dmlfp_loadgen: %s\n", flags.error().c_str());
     return usage();

@@ -6,23 +6,24 @@
 //   dmlfpd --port 7070 --shards 4 --training-weeks 26 --retrain-weeks 4
 //   dmlfpd --port 0 --port-file /tmp/dmlfpd.port --repo /data/streams
 //
-// Engine flags deliberately mirror `dmlfp run`: both front ends map a
-// DriverConfig through online::sharded_config_from_driver, so the same
-// flags produce the same warning multiset whether a log is replayed in
-// batch or streamed over the wire.
+// Engine flags are `dmlfp run`'s, minus the replay-only --resume-week:
+// both front ends draw them from the driver key table
+// (online/config_file) and map the DriverConfig through
+// online::sharded_config_from_driver, so the same flags produce the same
+// warning multiset whether a log is replayed in batch or streamed over
+// the wire.
 //
 // SIGTERM/SIGINT trigger a graceful drain: stop accepting, finish every
 // stream (seal durable segments, engine.finish()), deliver FINISHED to
 // subscribers, flush outboxes, then print the final per-stream stats.
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 
 #include "net/daemon.hpp"
 #include "online/config_file.hpp"
-#include "online/driver.hpp"
 #include "online/sharded_engine.hpp"
 #include "support/flags.hpp"
 
@@ -31,6 +32,16 @@ namespace {
 using namespace dml;
 using tools::Flags;
 
+using tools::FlagSpec;
+
+constexpr auto kInt = FlagSpec::kInt;
+constexpr FlagSpec kDaemonFlags[] = {
+    {"bind"}, {"port-file"}, {"repo"}, {"config"},
+    {"profile", FlagSpec::kSwitch}, {"port", kInt, 0, 65535},
+    {"reactors", kInt, 1, 64}, {"shards", kInt, 0, tools::kMaxThreads},
+    {"queue-frames", kInt, 1, 1 << 20}, {"subscriber-queue", kInt, 1, 1 << 24},
+    {"retry-ms", kInt, 0, 60000}};
+
 int usage() {
   std::fprintf(
       stderr,
@@ -38,16 +49,14 @@ int usage() {
       "  --bind ADDR            listen address (default 127.0.0.1)\n"
       "  --port N               listen port; 0 = kernel-assigned (default)\n"
       "  --port-file FILE       write the bound port to FILE once listening\n"
-      "  --reactors N           epoll reactor threads (default 2)\n"
-      "  --shards N             engine shards per stream (0 = hardware)\n"
+      "  --reactors N           epoll reactor threads, 1..64 (default 2)\n"
+      "  --shards N             engine shards per stream, 0..%ld\n"
+      "                         (0 = hardware concurrency)\n"
       "  --repo DIR             durable ingest: segmented per-stream\n"
       "                         repositories under DIR/<stream>\n"
       "  --config FILE          driver config base (same file as dmlfp run)\n"
-      "  --window S             prediction window Wp, seconds (default 300)\n"
-      "  --training-weeks N     initial training span (default 26)\n"
-      "  --retrain-weeks N      retraining cadence Wr (default 4)\n"
-      "  --mode sliding|whole|static\n"
-      "  --no-reviser           disable the rule reviser\n"
+      "engine flags (override --config, as for dmlfp run):\n"
+      "%s"
       "  --profile              per-shard serving-time accounting\n"
       "  --queue-frames N       reactor->pump admission queue (default 64)\n"
       "  --subscriber-queue N   per-subscriber warning queue (default 4096)\n"
@@ -56,50 +65,9 @@ int usage() {
       "                         net.read, net.write, storage.*, ...)\n"
       "  --failpoint-seed S     RNG seed for probabilistic faults\n"
       "SIGTERM/SIGINT drain gracefully: streams finish, durable segments\n"
-      "seal, subscribers get FINISHED, then a stats report prints.\n");
+      "seal, subscribers get FINISHED, then a stats report prints.\n",
+      tools::kMaxThreads, online::driver_flags_usage("  ").c_str());
   return 2;
-}
-
-/// The `dmlfp run` flag surface, minus replay-only flags: a --config
-/// file provides the base, explicit flags override it.
-bool driver_config_from_flags(const Flags& flags,
-                              online::DriverConfig& config) {
-  if (const auto config_path = flags.get("config")) {
-    std::ifstream file(*config_path);
-    if (!file) {
-      std::fprintf(stderr, "dmlfpd: cannot open %s\n", config_path->c_str());
-      return false;
-    }
-    auto parsed = online::parse_driver_config(file);
-    if (const auto* error = std::get_if<online::ConfigError>(&parsed)) {
-      std::fprintf(stderr, "dmlfpd: %s:%zu: %s\n", config_path->c_str(),
-                   error->line, error->message.c_str());
-      return false;
-    }
-    config = std::get<online::DriverConfig>(parsed);
-  }
-  config.prediction_window =
-      flags.get_long("window", config.prediction_window);
-  config.clock_tick = config.prediction_window;
-  config.training_weeks = static_cast<int>(
-      flags.get_long("training-weeks", config.training_weeks));
-  config.retrain_weeks =
-      static_cast<int>(flags.get_long("retrain-weeks", config.retrain_weeks));
-  if (flags.has("no-reviser")) config.use_reviser = false;
-  const std::string mode =
-      flags.get_or("mode", std::string(to_string(config.mode)));
-  if (mode == "sliding") {
-    config.mode = online::TrainingMode::kSlidingWindow;
-  } else if (mode == "whole") {
-    config.mode = online::TrainingMode::kWholeHistory;
-  } else if (mode == "static") {
-    config.mode = online::TrainingMode::kStatic;
-  } else {
-    std::fprintf(stderr, "dmlfpd: unknown mode '%s'\n", mode.c_str());
-    return false;
-  }
-  config.profile = flags.has("profile");
-  return true;
 }
 
 void print_stats(const net::DaemonStats& stats) {
@@ -130,16 +98,19 @@ void print_stats(const net::DaemonStats& stats) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags(argc, argv, 1);
+  const auto accepted = tools::flag_list(
+      {kDaemonFlags, tools::engine_flags(), tools::kFailpointFlags});
+  const Flags flags(argc, argv, 1, accepted);
   if (!flags.error().empty()) {
     std::fprintf(stderr, "dmlfpd: %s\n", flags.error().c_str());
-    return usage();
+    return 2;
   }
   if (flags.has("help")) return usage();
   if (!tools::arm_failpoints(flags, "dmlfpd")) return 2;
 
-  online::DriverConfig driver;
-  if (!driver_config_from_flags(flags, driver)) return 2;
+  auto driver = tools::driver_config_from_flags(flags, "dmlfpd");
+  if (!driver) return 2;
+  driver->profile = flags.has("profile");
 
   net::DaemonConfig config;
   config.bind_address = flags.get_or("bind", config.bind_address);
@@ -155,9 +126,14 @@ int main(int argc, char** argv) {
   config.retry_ms = static_cast<std::uint32_t>(
       flags.get_long("retry-ms", config.retry_ms));
   config.repo_dir = flags.get_or("repo", "");
-  config.engine = online::sharded_config_from_driver(
-      driver, static_cast<std::size_t>(flags.get_long("shards", 0)),
-      driver.profile);
+  try {
+    config.engine = online::sharded_config_from_driver(
+        *driver, static_cast<std::size_t>(flags.get_long("shards", 0)),
+        driver->profile);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "dmlfpd: %s\n", e.what());
+    return 2;
+  }
 
   // Block the shutdown signals before any thread exists, so the
   // daemon's threads inherit the mask and sigwait below is the only
